@@ -186,14 +186,15 @@ class CodeGenerator:
         """Lower one body op; returns the index of the op's load (for
         pointer chaining) or ``last_load`` unchanged."""
         if op.kind is OpKind.COMPUTE:
-            # Dependent chain: serial application logic.
-            previous = -1
-            for _ in range(op.amount):
-                previous = out.append(
-                    Instruction(
-                        Kind.ALU, latency=op.latency, dep=previous, txid=txid
-                    )
+            # Dependent chain: serial application logic; each ALU waits
+            # on the one before it.
+            first = len(out)
+            out.extend(
+                Instruction(
+                    Kind.ALU, latency=op.latency, dep=first + i - 1 if i else -1, txid=txid
                 )
+                for i in range(op.amount)
+            )
             return last_load
         if op.kind is OpKind.READ:
             dep = last_load if op.chained else -1

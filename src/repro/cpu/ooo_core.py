@@ -16,18 +16,13 @@ to the next memory event when every core is stalled.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cpu.adapter import LoggingAdapter, NullAdapter
 from repro.cpu.frontend import Frontend
 from repro.cpu.store_buffer import StoreBuffer
-from repro.isa.instructions import (
-    FENCE_KINDS,
-    LOAD_QUEUE_KINDS,
-    STORE_QUEUE_KINDS,
-    Instruction,
-    Kind,
-)
+from repro.isa.instructions import Instruction, Kind
 from repro.isa.trace import InstructionTrace
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.memctrl import MemoryController
@@ -44,6 +39,20 @@ class State(enum.Enum):
     EXECUTING = 1    # issued, waiting for completion
     COMPLETED = 2    # result ready, waiting to retire
     RETIRED = 3
+
+
+# Module-level aliases for the per-instruction path: reading a member
+# off an Enum class goes through the metaclass and costs several times
+# a global lookup.
+_DISPATCHED = State.DISPATCHED
+_EXECUTING = State.EXECUTING
+_COMPLETED = State.COMPLETED
+_RETIRED = State.RETIRED
+_ALU = Kind.ALU
+_LOAD = Kind.LOAD
+_STORE = Kind.STORE
+_CLFLUSHOPT = Kind.CLFLUSHOPT
+_PCOMMIT = Kind.PCOMMIT
 
 
 class DynInstr:
@@ -64,7 +73,7 @@ class DynInstr:
     def __init__(self, instr: Instruction, seq: int) -> None:
         self.instr = instr
         self.seq = seq
-        self.state = State.DISPATCHED
+        self.state = _DISPATCHED
         self.waiters: List[Callable[[], None]] = []
         self.lr: Optional[int] = None           # Proteus log register index
         self.logq_entry = None                  # Proteus LogQ entry
@@ -76,7 +85,7 @@ class DynInstr:
         self.fp_complete: Optional[int] = None
 
     def completed(self) -> bool:
-        return self.state in (State.COMPLETED, State.RETIRED)
+        return self.state is _COMPLETED or self.state is _RETIRED
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<dyn #{self.seq} {self.instr.kind.value} {self.state.name}>"
@@ -112,8 +121,10 @@ class OooCore:
         self.store_buffer = StoreBuffer(
             config.store_buffer_drain_per_cycle, tracer=self.tracer, core_id=core_id
         )
+        #: dispatched instructions not yet retired.  A dependence on a
+        #: seq missing here is satisfied: its producer retired, so it
+        #: completed.
         self.dyn_by_seq: Dict[int, DynInstr] = {}
-        self._done_seqs: set = set()
 
         self.lq_used = 0
         self.sq_used = 0
@@ -135,10 +146,13 @@ class OooCore:
     # -- public driver ----------------------------------------------------------
 
     def finished(self) -> bool:
-        """True when the trace has fully executed and drained."""
+        """True when the trace has fully executed and drained.
+
+        Once true it stays true, and :meth:`tick` then changes nothing.
+        """
         return (
-            self.frontend.exhausted()
-            and not self.rob
+            not self.rob
+            and self.frontend.exhausted()
             and self.store_buffer.is_empty()
             and self.pending_pmem == 0
             and self.pending_pcommits == 0
@@ -156,96 +170,92 @@ class OooCore:
     # -- completion plumbing -------------------------------------------------------
 
     def _mark_completed(self, dyn: DynInstr) -> None:
-        if dyn.state is State.COMPLETED:
+        if dyn.state is _COMPLETED:
             return
-        dyn.state = State.COMPLETED
-        self._done_seqs.add(dyn.seq)
+        dyn.state = _COMPLETED
         self._progress = True
         if self.tracer.enabled:
             self.tracer.instant(
                 "instr", "complete", tid=self.core_id, seq=dyn.seq,
                 kind=dyn.instr.kind.value, txid=dyn.instr.txid,
             )
-        waiters, dyn.waiters = dyn.waiters, []
-        for waiter in waiters:
-            waiter()
+        waiters = dyn.waiters
+        if waiters:
+            dyn.waiters = []
+            for waiter in waiters:
+                waiter()
 
     def complete_after(self, dyn: DynInstr, delay: int) -> None:
         """Schedule completion of ``dyn`` after ``delay`` cycles."""
-        self.engine.schedule(delay, lambda: self._mark_completed(dyn))
-
-    def dep_satisfied(self, dyn: DynInstr) -> bool:
-        """True when the instruction's dependence (if any) has completed."""
-        dep = dyn.instr.dep
-        return dep < 0 or dep in self._done_seqs
-
-    def _when_dep_ready(self, dyn: DynInstr, action: Callable[[], None]) -> None:
-        """Run ``action`` now or when the dependence completes."""
-        dep = dyn.instr.dep
-        if dep < 0 or dep in self._done_seqs:
-            action()
-            return
-        producer = self.dyn_by_seq.get(dep)
-        if producer is None:
-            # Producer already retired and completed.
-            action()
-            return
-        producer.waiters.append(action)
+        self.engine.schedule(delay, partial(self._mark_completed, dyn))
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _structural_stall(self, instr: Instruction) -> Optional[str]:
-        if len(self.rob) >= self.config.rob_entries:
-            return "rob"
-        if instr.kind in LOAD_QUEUE_KINDS and self.lq_used >= self.config.load_queue_entries:
-            return "lq"
-        if instr.kind in STORE_QUEUE_KINDS and self.sq_used >= self.config.store_queue_entries:
-            return "sq"
-        return None
-
     def _dispatch(self) -> None:
+        frontend = self.frontend
+        # Read every cycle: a built trace may still grow (tests insert a
+        # log-save into it after the simulator is constructed).
+        instructions = frontend.trace.instructions
+        end = len(instructions)
+        pc = frontend.pc
+        config = self.config
+        width = config.fetch_width
+        rob = self.rob
+        adapter = self.adapter
+        dyn_by_seq = self.dyn_by_seq
+        cause: Optional[str] = None
         dispatched = 0
-        while dispatched < self.config.fetch_width:
-            instr = self.frontend.peek()
-            if instr is None:
+        while dispatched < width and pc < end:
+            instr = instructions[pc]
+            kind = instr.kind
+            # Structural hazards, in attribution order.
+            if len(rob) >= config.rob_entries:
+                cause = "rob"
                 break
-            cause = self._structural_stall(instr)
+            if kind.uses_load_queue and self.lq_used >= config.load_queue_entries:
+                cause = "lq"
+                break
+            if kind.uses_store_queue and self.sq_used >= config.store_queue_entries:
+                cause = "sq"
+                break
+            dyn = DynInstr(instr, pc)
+            cause = adapter.dispatch_blocked(dyn)
             if cause is not None:
-                self.frontend.note_stall(cause)
                 break
-            dyn = DynInstr(instr, self.frontend.pc)
-            adapter_cause = self.adapter.dispatch_blocked(dyn)
-            if adapter_cause is not None:
-                self.frontend.note_stall(adapter_cause)
-                break
-            self.frontend.consume()
-            self.rob.append(dyn)
-            self.dyn_by_seq[dyn.seq] = dyn
+            pc += 1
+            frontend.pc = pc
+            rob.append(dyn)
+            dyn_by_seq[dyn.seq] = dyn
             if self.tracer.enabled:
                 self.tracer.instant(
                     "instr", "dispatch", tid=self.core_id, seq=dyn.seq,
-                    kind=instr.kind.value, addr=instr.addr, txid=instr.txid,
+                    kind=kind.value, addr=instr.addr, txid=instr.txid,
                 )
-            if instr.kind in LOAD_QUEUE_KINDS:
+            if kind.uses_load_queue:
                 self.lq_used += 1
-            if instr.kind in STORE_QUEUE_KINDS:
+            if kind.uses_store_queue:
                 self.sq_used += 1
-            self._begin_execution(dyn)
+            # Execute now, or once the producer completes.  A producer
+            # absent from dyn_by_seq has retired, so it has completed.
+            dep = instr.dep
+            producer = dyn_by_seq.get(dep) if dep >= 0 else None
+            if producer is None or producer.state is _COMPLETED or producer.state is _RETIRED:
+                self._start(dyn)
+            else:
+                producer.waiters.append(partial(self._start, dyn))
             dispatched += 1
         if dispatched:
             self._progress = True
             self.stats.add("dispatched_instructions", dispatched)
-        self.frontend.end_cycle(dispatched)
+        elif pc < end:
+            frontend.record_stall(cause)
 
     # -- execution -----------------------------------------------------------------------
 
-    def _begin_execution(self, dyn: DynInstr) -> None:
-        self._when_dep_ready(dyn, lambda: self._start(dyn))
-
     def _start(self, dyn: DynInstr) -> None:
-        if dyn.state is not State.DISPATCHED:
+        if dyn.state is not _DISPATCHED:
             return
-        dyn.state = State.EXECUTING
+        dyn.state = _EXECUTING
         self._progress = True
         if self.tracer.enabled:
             self.tracer.instant(
@@ -255,11 +265,11 @@ class OooCore:
         if self.adapter.start_execute(dyn):
             return
         kind = dyn.instr.kind
-        if kind is Kind.LOAD:
-            self._issue_load(dyn)
-        elif kind is Kind.ALU:
+        if kind is _ALU:
             self.complete_after(dyn, max(1, dyn.instr.latency))
-        elif kind is Kind.STORE:
+        elif kind is _LOAD:
+            self._issue_load(dyn)
+        elif kind is _STORE:
             # Address generation triggers the read-for-ownership prefetch
             # so the post-retirement cache write will hit.
             self.hierarchy.prefetch_for_store(self.core_id, dyn.instr.addr)
@@ -300,7 +310,7 @@ class OooCore:
         """
         if not self.store_buffer.is_empty() or self.pending_pmem > 0:
             return True
-        if dyn.instr.kind is not Kind.PCOMMIT and self.pending_pcommits > 0:
+        if dyn.instr.kind is not _PCOMMIT and self.pending_pcommits > 0:
             return True
         return False
 
@@ -309,40 +319,43 @@ class OooCore:
         # Progress resumes at the next tick; the retire loop re-checks.
 
     def _retire(self) -> None:
+        rob = self.rob
+        width = self.config.retire_width
+        adapter = self.adapter
         retired = 0
-        while retired < self.config.retire_width and self.rob:
-            dyn = self.rob[0]
-            if not dyn.completed():
+        while retired < width and rob:
+            dyn = rob[0]
+            if dyn.state is not _COMPLETED:
                 break
-            if dyn.instr.kind in FENCE_KINDS and self._fence_blocked(dyn):
+            kind = dyn.instr.kind
+            if kind.is_fence and self._fence_blocked(dyn):
                 self.stats.add("retire_blocked.fence")
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "stall", "retire-fence", tid=self.core_id, seq=dyn.seq,
-                        kind=dyn.instr.kind.value,
+                        kind=kind.value,
                     )
                 break
-            if self.adapter.retire_blocked(dyn):
+            if adapter.retire_blocked(dyn):
                 self.stats.add("retire_blocked.adapter")
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "stall", "retire-adapter", tid=self.core_id, seq=dyn.seq,
-                        kind=dyn.instr.kind.value,
+                        kind=kind.value,
                     )
                 break
-            self.rob.pop(0)
-            dyn.state = State.RETIRED
-            kind = dyn.instr.kind
-            if kind in LOAD_QUEUE_KINDS:
+            rob.pop(0)
+            dyn.state = _RETIRED
+            if kind.uses_load_queue:
                 self.lq_used -= 1
-            if kind in STORE_QUEUE_KINDS:
+            if kind.uses_store_queue:
                 self.store_buffer.push(dyn)  # SQ slot freed when drained
-            if dyn.seq in self.dyn_by_seq and not dyn.waiters:
-                del self.dyn_by_seq[dyn.seq]
-            if kind is Kind.PCOMMIT:
+            # Completed, so its waiters have already been started.
+            del self.dyn_by_seq[dyn.seq]
+            if kind is _PCOMMIT:
                 self.pending_pcommits += 1
                 self.memctrl.notify_when_persistent(self._pcommit_done)
-            self.adapter.on_retire(dyn)
+            adapter.on_retire(dyn)
             if self.retire_observer is not None:
                 self.retire_observer.on_retire(self.core_id, dyn)
             self.stats.add("retired_instructions")
@@ -363,7 +376,7 @@ class OooCore:
             if head is None:
                 return
             kind = head.instr.kind
-            if kind is Kind.STORE and self.adapter.store_release_blocked(
+            if kind is _STORE and self.adapter.store_release_blocked(
                 head.instr.addr, head.seq
             ):
                 self.stats.add("store_release_blocked")
@@ -375,34 +388,28 @@ class OooCore:
                 return
             dyn = self.store_buffer.pop_head()
             self._progress = True
-            if kind is Kind.STORE:
+            if kind is _STORE:
                 self.hierarchy.access(
                     self.core_id,
                     dyn.instr.addr,
                     is_write=True,
-                    on_complete=lambda d=dyn: self._store_written(d),
+                    on_complete=self._store_written,
                 )
             else:  # CLWB / CLFLUSHOPT
                 self.pending_pmem += 1
                 self.hierarchy.flush_line(
                     self.core_id,
                     dyn.instr.addr,
-                    invalidate=(kind is Kind.CLFLUSHOPT),
+                    invalidate=(kind is _CLFLUSHOPT),
                     thread_id=self.core_id,
-                    on_durable=lambda d=dyn: self._flush_acked(d),
+                    on_durable=self._flush_acked,
                 )
 
-    def _store_written(self, dyn: DynInstr) -> None:
+    def _store_written(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
-        self._cleanup_dyn(dyn)
 
-    def _flush_acked(self, dyn: DynInstr) -> None:
+    def _flush_acked(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
         self.pending_pmem -= 1
-        self._cleanup_dyn(dyn)
-
-    def _cleanup_dyn(self, dyn: DynInstr) -> None:
-        if dyn.seq in self.dyn_by_seq and not dyn.waiters:
-            del self.dyn_by_seq[dyn.seq]

@@ -55,6 +55,13 @@ class Kind(enum.Enum):
     LOG_FLUSH = "log-flush"
     LOG_SAVE = "log-save"
 
+    # Per-kind class flags, fixed at import from the sets below.  The
+    # core's per-cycle path reads these instead of testing set
+    # membership, which hashes the Enum member in Python code.
+    uses_load_queue: bool
+    uses_store_queue: bool
+    is_fence: bool
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Kind.{self.name}"
 
@@ -69,6 +76,12 @@ STORE_QUEUE_KINDS = frozenset({Kind.STORE, Kind.CLWB, Kind.CLFLUSHOPT})
 #: Kinds that act as retirement fences: they may not retire until all older
 #: pending persistent operations have been acknowledged.
 FENCE_KINDS = frozenset({Kind.SFENCE, Kind.MFENCE, Kind.PCOMMIT, Kind.TX_END})
+
+for _kind in Kind:
+    _kind.uses_load_queue = _kind in LOAD_QUEUE_KINDS
+    _kind.uses_store_queue = _kind in STORE_QUEUE_KINDS
+    _kind.is_fence = _kind in FENCE_KINDS
+del _kind
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,7 @@ class Instruction:
 
     def is_fence(self) -> bool:
         """Return True when the instruction has fence retirement semantics."""
-        return self.kind in FENCE_KINDS
+        return self.kind.is_fence
 
     def line(self) -> int:
         """Cache-line base address of this access."""

@@ -40,13 +40,18 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = stats
+        # Geometry and counter names, computed once rather than per fill.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.sets
+        self._ways = config.ways
+        self._evictions = f"{name}.evictions"
+        self._dirty_evictions = f"{name}.dirty_evictions"
         self.sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(config.sets)
+            OrderedDict() for _ in range(self._num_sets)
         ]
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, CacheLine]":
-        index = (line_addr // self.config.line_bytes) % self.config.sets
-        return self.sets[index]
+        return self.sets[(line_addr // self._line_bytes) % self._num_sets]
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None; refreshes recency on a hit."""
@@ -69,11 +74,11 @@ class Cache:
             cache_set.move_to_end(line_addr)
             return None
         victim = None
-        if len(cache_set) >= self.config.ways:
+        if len(cache_set) >= self._ways:
             __, victim = cache_set.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            self.stats.add(self._evictions)
             if victim.dirty:
-                self.stats.add(f"{self.name}.dirty_evictions")
+                self.stats.add(self._dirty_evictions)
         cache_set[line_addr] = CacheLine(line_addr, dirty)
         return victim
 

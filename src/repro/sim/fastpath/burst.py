@@ -291,7 +291,6 @@ class BurstWindow:
         comp = self.comp
         rob = core.rob
         dyn_by_seq = core.dyn_by_seq
-        done = core._done_seqs
 
         new_rob: List[DynInstr] = []
         for i in range(m):
@@ -314,14 +313,14 @@ class BurstWindow:
             dispatched_new += 1
             seq = self.pc0 + j
             if ret[i] < h:
-                done.add(seq)
+                # Retired: never enters dyn_by_seq, which is how a later
+                # dependence on it reads as satisfied.
                 continue
             dyn = DynInstr(trace[seq], seq)
             completion = comp[i]
             if completion < h:
                 dyn.state = State.COMPLETED
                 dyn.fp_complete = completion
-                done.add(seq)
             else:
                 started = completion - int(lats[seq])
                 if started < h:

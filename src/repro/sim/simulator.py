@@ -286,14 +286,17 @@ class Simulator:
 
             return run_fast(self, max_cycles=max_cycles)
         engine = self.engine
-        cores = self.cores
         sampler = self.sampler
+        # A finished core stays finished and ticking it changes nothing,
+        # so each iteration checks and ticks only the cores still live.
+        live = list(self.cores)
         while True:
             if engine.halted:
                 raise SimulationHalted(engine.cycle, engine.halt_reason)
             if sampler is not None:
                 sampler.maybe_sample()
-            if all(core.finished() for core in cores):
+            live = [core for core in live if not core.finished()]
+            if not live:
                 break
             if engine.cycle >= max_cycles:
                 raise RuntimeError(
@@ -305,10 +308,9 @@ class Simulator:
             if engine.halted:
                 continue
             progress = False
-            for core in cores:
-                if not core.finished():
-                    if core.tick():
-                        progress = True
+            for core in live:
+                if core.tick():
+                    progress = True
             if progress or fired:
                 engine.advance(1)
                 continue
