@@ -3,7 +3,9 @@
 ``Simulator.run`` checks and ticks only the cores that have not
 finished, and ``OooCore`` decides dependence readiness from
 ``dyn_by_seq`` alone.  Both shortcuts are exact only under the
-invariants pinned here.
+invariants pinned here.  The loop also skips idle cycles by jumping to
+the next event, yet a halt or a cycle-triggered crash must still land
+on its exact cycle; the last tests pin that.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from repro.core.proteus import ProteusAdapter
 from repro.core.schemes import Scheme
 from repro.cpu.adapter import NullAdapter
 from repro.cpu.ooo_core import OooCore
+from repro.faults import FaultPlan, Trigger, run_crash_case
+from repro.faults.tracker import ThreadFunctional
 from repro.isa.instructions import (
     FENCE_KINDS,
     LOAD_QUEUE_KINDS,
@@ -22,13 +26,18 @@ from repro.isa.instructions import (
     Kind,
 )
 from repro.sim.config import fast_nvm_config
+from repro.sim.engine import SimulationHalted
 from repro.sim.simulator import Simulator
 from repro.workloads import HashMapWorkload, QueueWorkload
 from repro.workloads.base import generate_traces
 
 
-def build_sim(scheme, threads=1, engine="reference", workload=QueueWorkload, seed=7):
-    traces = generate_traces(workload, threads=threads, seed=seed, init_ops=32, sim_ops=6)
+def build_sim(
+    scheme, threads=1, engine="reference", workload=QueueWorkload, seed=7, sim_ops=6
+):
+    traces = generate_traces(
+        workload, threads=threads, seed=seed, init_ops=32, sim_ops=sim_ops
+    )
     config = fast_nvm_config(cores=threads).replace(engine=engine)
     return Simulator(config, scheme, traces)
 
@@ -108,3 +117,33 @@ def test_dyn_by_seq_drains_after_run(scheme, engine):
     for core in sim.cores:
         assert core.dyn_by_seq == {}
         assert core.rob == []
+
+
+def halted_run(halt_cycle):
+    sim = build_sim(Scheme.PROTEUS, sim_ops=10)
+    sim.engine.halt_at_cycle(halt_cycle)
+    with pytest.raises(SimulationHalted) as excinfo:
+        sim.run()
+    return sim, excinfo.value
+
+
+@pytest.mark.parametrize("halt_cycle", (1000, 7777, 20000))
+def test_halt_lands_on_its_exact_cycle(halt_cycle):
+    """A halt requested for a cycle the loop would otherwise skip over
+    stops the run at precisely that cycle, with reproducible counters."""
+    sim, halt = halted_run(halt_cycle)
+    assert halt.cycle == halt_cycle == sim.engine.cycle
+    again, _ = halted_run(halt_cycle)
+    assert list(sim.stats.counters.items()) == list(again.stats.counters.items())
+
+
+@pytest.mark.parametrize("crash_cycle", (2000, 12345))
+def test_cycle_crash_trigger_lands_on_its_exact_cycle(crash_cycle):
+    traces = generate_traces(QueueWorkload, threads=1, seed=7, init_ops=12, sim_ops=6)
+    models = {
+        trace.thread_id: ThreadFunctional(trace, Scheme.PROTEUS) for trace in traces
+    }
+    plan = FaultPlan(seed=3, crash=Trigger("cycle", crash_cycle))
+    result = run_crash_case(Scheme.PROTEUS, traces, models, plan)
+    assert result.crashed
+    assert result.machine.cycle == crash_cycle
