@@ -40,12 +40,6 @@ undisturbed serial, a journaled run interrupted halfway, and the resume
 that finishes it — verifying the resume executes only the leftover
 cells and the recovered results are byte-identical to the serial pass.
 
-Engine comparison (``repro.sim.fastpath``): ``--compare-engines`` runs
-the fig6 evaluation sweep cell-by-cell under both the reference
-per-cycle engine and the batch-stepped fast engine, verifies the two
-produce byte-identical results, and records per-cell and aggregate
-wall times with speedup ratios.
-
 Model-checker cost (``repro.verify``): ``--compare-verify`` runs the
 crash-state checker over one workload per failure-safe scheme and
 records crash-point/frontier counts, coverage, and wall time per
@@ -426,77 +420,6 @@ def compare_verify(seed: int, budget=None) -> dict:
     return {"budget": budget, "schemes": records}
 
 
-def compare_engines(threads: int, scale: float, seed: int) -> dict:
-    """Time the fig6 evaluation sweep reference-engine vs fast-engine.
-
-    Every benchmark x figure-scheme cell runs twice — once under the
-    reference per-cycle loop, once under the batch-stepped fast engine
-    (``repro.sim.fastpath``) — and the two results must be byte-identical
-    (the fast engine's correctness contract).  The record carries
-    per-cell and aggregate wall times plus the speedup ratios, so engine
-    perf regressions and equivalence breaks both show up in the
-    trajectory.
-    """
-    from repro.analysis.experiments import bench_cell
-    from repro.core.schemes import FIGURE_ORDER
-    from repro.parallel import result_bytes
-    from repro.sim.config import fast_nvm_config
-    from repro.workloads import BENCHMARK_ORDER
-
-    cells = []
-    totals = {"reference": 0.0, "fast": 0.0}
-    identical = True
-    for name in BENCHMARK_ORDER:
-        for scheme in FIGURE_ORDER:
-            times = {}
-            payloads = {}
-            for engine in ("reference", "fast"):
-                config = fast_nvm_config(cores=threads).replace(engine=engine)
-                cell = bench_cell(name, scheme, config, threads, scale, seed)
-                start = time.perf_counter()
-                result = cell.simulate()
-                times[engine] = time.perf_counter() - start
-                payloads[engine] = result_bytes(result)
-                totals[engine] += times[engine]
-            same = payloads["reference"] == payloads["fast"]
-            identical = identical and same
-            speedup = (
-                times["reference"] / times["fast"] if times["fast"] else 0.0
-            )
-            print(f"  engines[{name} {str(scheme):<14}] "
-                  f"ref {times['reference']:7.2f}s  "
-                  f"fast {times['fast']:7.2f}s  "
-                  f"{speedup:5.2f}x"
-                  f"{'' if same else '  NOT IDENTICAL'}")
-            cells.append(
-                {
-                    "workload": name,
-                    "scheme": str(scheme),
-                    "reference_wall_time_s": round(times["reference"], 3),
-                    "fast_wall_time_s": round(times["fast"], 3),
-                    "speedup": round(speedup, 3),
-                    "byte_identical": same,
-                }
-            )
-    total_speedup = (
-        totals["reference"] / totals["fast"] if totals["fast"] else 0.0
-    )
-    print(f"  engines[TOTAL{' ' * 18}] "
-          f"ref {totals['reference']:7.2f}s  "
-          f"fast {totals['fast']:7.2f}s  "
-          f"{total_speedup:5.2f}x")
-    if not identical:
-        print("warning: engines NOT byte-identical "
-              "(run `repro engine diff` to bisect)", file=sys.stderr)
-    return {
-        "cells": cells,
-        "reference_wall_time_s": round(totals["reference"], 3),
-        "fast_wall_time_s": round(totals["fast"], 3),
-        "speedup": round(total_speedup, 3),
-        "byte_identical": identical,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_results.json"))
@@ -531,10 +454,6 @@ def main(argv=None) -> int:
     parser.add_argument("--compare-sampling", action="store_true",
                         help="also time full vs sampled simulation on "
                              "two workloads")
-    parser.add_argument("--compare-engines", action="store_true",
-                        help="also run the fig6 sweep under the reference "
-                             "and fast engines, verifying byte-identical "
-                             "results and recording the speedups")
     parser.add_argument("--compare-verify", action="store_true",
                         help="also model-check one workload per "
                              "failure-safe scheme, recording frontier "
@@ -587,11 +506,6 @@ def main(argv=None) -> int:
     sampling_comparison = None
     if args.compare_sampling:
         sampling_comparison = compare_sampling(1, args.seed)
-    engines_comparison = None
-    if args.compare_engines:
-        engines_comparison = compare_engines(
-            args.threads, args.scale, args.seed
-        )
     verify_comparison = None
     if args.compare_verify:
         verify_comparison = compare_verify(args.seed, args.verify_budget)
@@ -607,11 +521,6 @@ def main(argv=None) -> int:
         "threads": args.threads,
         "scale": args.scale,
         "seed": args.seed,
-        # The figure sweeps run under the reference engine; the fast
-        # engine's wall times live in engines_comparison.  The gate
-        # treats engine as a context knob, so recording it keeps
-        # trajectories comparable if the default ever flips.
-        "engine": "reference",
         "jobs": runner.jobs,
         "cache": runner.cache is not None,
         "total_wall_time_s": round(total, 3),
@@ -621,7 +530,6 @@ def main(argv=None) -> int:
                 "threads": args.threads,
                 "scale": args.scale,
                 "seed": args.seed,
-                "engine": "reference",
                 "jobs": runner.jobs,
                 "cache": runner.cache is not None,
                 "figures": sorted(args.figures) if args.figures else "all",
@@ -637,8 +545,6 @@ def main(argv=None) -> int:
         record["faults_comparison"] = faults_comparison
     if sampling_comparison is not None:
         record["sampling_comparison"] = sampling_comparison
-    if engines_comparison is not None:
-        record["engines_comparison"] = engines_comparison
     if verify_comparison is not None:
         record["verify_comparison"] = verify_comparison
     doc["runs"].append(record)

@@ -45,24 +45,16 @@ DEFAULT_DRIFT_TOLERANCE = 0.05
 WALLTIME_WARN_RATIO = 2.0
 
 #: Run-context keys that must match for drift comparison to be meaningful.
-#: ``engine`` selects the simulation driver (reference per-cycle loop vs
-#: the batch-stepped fast engine); the two are byte-identical in metrics
-#: by contract but wildly different in wall time, so mixed-engine drift
-#: comparison of wall times would be meaningless.
-CONTEXT_KEYS = ("threads", "scale", "seed", "engine")
+CONTEXT_KEYS = ("threads", "scale", "seed")
 
 
 def _normalize_context(context: Dict[str, Any]) -> Dict[str, Any]:
-    """Fill context defaults for records that predate newer knobs.
+    """Project a context onto :data:`CONTEXT_KEYS`.
 
-    Trajectories and baselines recorded before the ``engine`` knob
-    existed are reference-engine runs; making that explicit keeps old
-    baselines comparable instead of tripping the context-mismatch skip.
+    Older trajectory records and baselines carry extra keys (such as
+    ``engine``); only the keys listed here decide comparability.
     """
-    normalized = {key: context.get(key) for key in CONTEXT_KEYS}
-    if normalized.get("engine") is None:
-        normalized["engine"] = "reference"
-    return normalized
+    return {key: context.get(key) for key in CONTEXT_KEYS}
 
 
 @dataclass(frozen=True)

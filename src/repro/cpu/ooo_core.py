@@ -67,7 +67,6 @@ class DynInstr:
         "logq_entry",
         "llt_hit",
         "log_acked",
-        "fp_complete",
     )
 
     def __init__(self, instr: Instruction, seq: int) -> None:
@@ -79,10 +78,6 @@ class DynInstr:
         self.logq_entry = None                  # Proteus LogQ entry
         self.llt_hit = False                    # Proteus LLT filter hit
         self.log_acked = False                  # ATOM per-store log ack
-        #: absolute completion cycle, recorded by the fast engine's
-        #: patched ``complete_after`` (None under the reference engine);
-        #: lets the burst solver price the in-flight window exactly.
-        self.fp_complete: Optional[int] = None
 
     def completed(self) -> bool:
         return self.state is _COMPLETED or self.state is _RETIRED

@@ -87,12 +87,7 @@ class Simulator:
             )
         self.config = config
         self.scheme = scheme
-        if config.engine == "fast":
-            from repro.sim.fastpath.engine import FastEngine
-
-            self.engine: Engine = FastEngine()
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         self.stats = Stats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
@@ -213,20 +208,8 @@ class Simulator:
         self.cores.append(core)
 
     def _warm_lines(self, thread_id: int, lines: Iterable[int]) -> None:
-        """Warm a sequence of lines, batched under the fast engine.
-
-        The batched pass produces the same final LRU state and eviction
-        counters as per-line :meth:`CacheHierarchy.warm` (see
-        ``repro.sim.fastpath.warm``); it exists because warmup is a
-        visible fraction of small-cell build time.
-        """
-        if self.config.engine == "fast":
-            from repro.sim.fastpath.warm import batched_warm
-
-            batched_warm(self.hierarchy, thread_id, lines)
-        else:
-            for line in lines:
-                self.hierarchy.warm(thread_id, line)
+        for line in lines:
+            self.hierarchy.warm(thread_id, line)
 
     # -- segmented execution ---------------------------------------------------------
 
@@ -273,18 +256,7 @@ class Simulator:
     # -- the cycle loop -------------------------------------------------------------
 
     def run(self, max_cycles: int = 500_000_000) -> SimResult:
-        """Run every core's trace to completion.
-
-        ``config.engine == "fast"`` dispatches to the batch-stepped
-        driver (:func:`repro.sim.fastpath.driver.run_fast`), which is
-        byte-identical in observable behavior.  An enabled tracer needs
-        the per-cycle loop's event granularity, so tracing runs fall
-        back to the reference loop regardless of the engine knob.
-        """
-        if self.config.engine == "fast" and not self.tracer.enabled:
-            from repro.sim.fastpath.driver import run_fast
-
-            return run_fast(self, max_cycles=max_cycles)
+        """Run every core's trace to completion."""
         engine = self.engine
         sampler = self.sampler
         # A finished core stays finished and ticking it changes nothing,

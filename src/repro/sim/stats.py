@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 
 @dataclass
@@ -27,22 +27,6 @@ class Stats:
     def get(self, name: str) -> int:
         """Current value of ``name`` (0 when never touched)."""
         return self.counters.get(name, 0)
-
-    def add_scaled(self, delta: Mapping[str, int], times: int = 1) -> None:
-        """Replay a recorded per-cycle counter delta ``times`` times.
-
-        The fast engine records the counter delta of one representative
-        stalled cycle and replays it across a whole quantum in one call.
-        Only additive counters may appear in ``delta`` — high-water marks
-        (``set_max``) do not scale linearly and the recorder never
-        captures them into a replayable delta.  ``times == 0`` must still
-        *touch* the counters that appear in the delta, because "never
-        set" and "observed at 0" are distinguishable states.
-        """
-        if times < 0:
-            raise ValueError(f"times must be >= 0, got {times}")
-        for name, value in delta.items():
-            self.counters[name] += value * times
 
     def set_max(self, name: str, value: int) -> None:
         """Track a high-water mark.

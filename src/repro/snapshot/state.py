@@ -117,7 +117,6 @@ def restore_machine(
     op_traces: Sequence[OpTrace],
     tracer: Optional[Tracer] = None,
     fault_injector: Optional["FaultInjector"] = None,
-    engine: Optional[str] = None,
 ) -> Simulator:
     """Build a machine for ``op_traces`` in the snapshot's exact state.
 
@@ -126,18 +125,9 @@ def restore_machine(
     counters are imposed.  A fault injector (warm crash campaigns)
     attaches only *after* the clock is restored so cycle-valued crash
     triggers land in continuation time.
-
-    ``engine`` selects the simulation driver for the continuation.
-    Snapshots deliberately do not record the driver that produced them
-    (both drivers produce identical state — see
-    :func:`~repro.parallel.cellspec.config_to_dict`), so a caller that
-    wants the fast engine must re-ask for it here; the default is the
-    reference driver.
     """
     scheme = Scheme(snapshot.scheme)
     config = config_from_dict(snapshot.config)
-    if engine is not None:
-        config = config.replace(engine=engine)
     thread_state: Dict[int, Dict[str, int]] = {}
     for thread_id, cur in snapshot.log_areas.items():
         thread_state.setdefault(thread_id, {})["log_area_cur"] = cur

@@ -97,104 +97,3 @@ def test_run_until_idle_guard():
     engine.schedule(1, reschedule)
     with pytest.raises(RuntimeError):
         engine.run_until_idle(max_cycles=100)
-
-
-# ---------------------------------------------------------------------------
-# FastEngine: the completion ring must preserve the reference engine's
-# exact global event order when timestamps collide
-# ---------------------------------------------------------------------------
-
-
-def _fast_engine():
-    from repro.sim.fastpath.engine import FastEngine
-
-    return FastEngine()
-
-
-def test_ring_and_heap_colliding_timestamps_fire_in_schedule_order():
-    """Ring and heap draw from one sequence counter: events scheduled at
-    the same cycle fire in scheduling order no matter which structure
-    holds them.  Regression for the classic two-queue merge bug where
-    one side's ties all fire before the other's."""
-    engine = _fast_engine()
-    fired = []
-    engine.schedule(4, lambda: fired.append("heap-a"))
-    engine.ring_schedule(4, fired.append, "ring-b")
-    engine.schedule(4, lambda: fired.append("heap-c"))
-    engine.ring_schedule(4, fired.append, "ring-d")
-    engine.advance(4)
-    assert engine.fire_due_events() == 4
-    assert fired == ["heap-a", "ring-b", "heap-c", "ring-d"]
-
-
-def test_ring_buckets_interleave_with_earlier_heap_cycles():
-    engine = _fast_engine()
-    fired = []
-    engine.ring_schedule(5, fired.append, "ring@5")
-    engine.schedule(3, lambda: fired.append("heap@3"))
-    engine.ring_schedule(3, fired.append, "ring@3")
-    engine.schedule(5, lambda: fired.append("heap@5"))
-    assert engine.next_event_cycle() == 3
-    assert engine.pending_events() == 4
-    engine.advance(5)
-    engine.fire_due_events()
-    assert fired == ["heap@3", "ring@3", "ring@5", "heap@5"]
-
-
-def test_same_cycle_events_scheduled_during_firing_fire_same_pass():
-    """The reference loop fires events scheduled *by* a firing callback
-    at the same cycle in the same pass; the merged ring loop must too,
-    in (cycle, seq) order across both structures."""
-    engine = _fast_engine()
-    fired = []
-
-    def chain():
-        fired.append("first")
-        engine.ring_schedule(0, fired.append, "ring-chained")
-        engine.schedule(0, lambda: fired.append("heap-chained"))
-
-    engine.schedule(2, chain)
-    engine.advance(2)
-    assert engine.fire_due_events() == 3
-    assert fired == ["first", "ring-chained", "heap-chained"]
-
-
-def test_ring_matches_reference_heap_order_exactly():
-    """Drive the reference engine and a FastEngine with the same mixed
-    schedule (every completion through the ring on the fast side) and
-    require the identical global firing order."""
-    schedule = [
-        (3, "a"), (1, "b"), (3, "c"), (2, "d"), (1, "e"), (3, "f"), (2, "g"),
-    ]
-    reference = Engine()
-    reference_fired = []
-    for delay, label in schedule:
-        reference.schedule(delay, lambda l=label: reference_fired.append(l))
-    reference.run_until_idle()
-
-    fast = _fast_engine()
-    fast_fired = []
-    for index, (delay, label) in enumerate(schedule):
-        if index % 2:  # alternate structures to force merge decisions
-            fast.ring_schedule(delay, fast_fired.append, label)
-        else:
-            fast.schedule(delay, lambda l=label: fast_fired.append(l))
-    fast.run_until_idle()
-    assert fast_fired == reference_fired
-
-
-def test_ring_rejects_scheduling_into_the_past():
-    engine = _fast_engine()
-    engine.advance(10)
-    with pytest.raises(ValueError):
-        engine.ring_schedule(-1, print, None)
-    with pytest.raises(ValueError):
-        engine.ring_schedule_at(5, print, None)
-
-
-def test_ring_activity_counter_tracks_both_structures():
-    engine = _fast_engine()
-    assert engine.activity == 0
-    engine.schedule(1, lambda: None)
-    engine.ring_schedule(1, lambda arg: None, None)
-    assert engine.activity == 2

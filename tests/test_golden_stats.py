@@ -1,13 +1,11 @@
 """Golden ``Stats`` digests: the reference loop pinned against its own past.
 
-The engine-equivalence tests compare the fast engine against the
-reference loop *at the same commit*.  Both engines drive the same
-``OooCore``, so a bug in shared core code passes them.  This module
-closes that gap: every cell of a schemes x workloads x seeds matrix is
-run under the reference engine and its ``Stats`` are reduced to a
-SHA-256 over the ordered ``(counter, value)`` items plus the final
-cycle.  Counter insertion order is part of the digest, because
-serialized ``Stats`` preserve it.
+A refactor of the simulation loop or of any model it drives must leave
+every simulated result unchanged.  This module checks that: every cell
+of a schemes x workloads x seeds matrix is simulated and its ``Stats``
+are reduced to a SHA-256 over the ordered ``(counter, value)`` items
+plus the final cycle.  Counter insertion order is part of the digest,
+because serialized ``Stats`` preserve it.
 
 ``tests/golden/stats_digests.json`` holds the pinned digests.  Only
 ``python tools/pin_golden_stats.py`` rewrites it; do that after a
@@ -83,10 +81,9 @@ def stats_digest(result: SimResult) -> str:
 
 
 def run_cell(cell: Cell) -> str:
-    """Simulate one cell under the reference engine; return its digest."""
+    """Simulate one cell; return its digest."""
     workload, scheme, seed, threads = cell
-    config = fast_nvm_config(cores=threads).replace(engine="reference")
-    sim = Simulator(config, scheme, _traces(workload, seed, threads))
+    sim = Simulator(fast_nvm_config(cores=threads), scheme, _traces(workload, seed, threads))
     return stats_digest(sim.run())
 
 

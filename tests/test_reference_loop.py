@@ -32,14 +32,11 @@ from repro.workloads import HashMapWorkload, QueueWorkload
 from repro.workloads.base import generate_traces
 
 
-def build_sim(
-    scheme, threads=1, engine="reference", workload=QueueWorkload, seed=7, sim_ops=6
-):
+def build_sim(scheme, threads=1, workload=QueueWorkload, seed=7, sim_ops=6):
     traces = generate_traces(
         workload, threads=threads, seed=seed, init_ops=32, sim_ops=sim_ops
     )
-    config = fast_nvm_config(cores=threads).replace(engine=engine)
-    return Simulator(config, scheme, traces)
+    return Simulator(fast_nvm_config(cores=threads), scheme, traces)
 
 
 def machine_state(sim):
@@ -107,12 +104,11 @@ def test_ticking_a_finished_core_changes_nothing(monkeypatch, scheme, adapter_cl
     assert result.cycles == reference.cycles
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-def test_dyn_by_seq_drains_after_run(scheme, engine):
+def test_dyn_by_seq_drains_after_run(scheme):
     """Every dispatched instruction leaves dyn_by_seq by the end of a
     run, so per-core tracking stays bounded by the in-flight window."""
-    sim = build_sim(scheme, threads=2, engine=engine)
+    sim = build_sim(scheme, threads=2)
     sim.run()
     for core in sim.cores:
         assert core.dyn_by_seq == {}

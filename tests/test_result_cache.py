@@ -101,63 +101,3 @@ def test_store_failures_are_nonfatal(tmp_path):
     result = SweepRunner(jobs=1).run_one(spec)
     cache.store(spec, result)  # must not raise
     assert cache.stores == 0
-
-
-# ---------------------------------------------------------------------------
-# engine identity: a fast-path result must never satisfy a
-# reference-path lookup (or vice versa), and fast-path entries must go
-# stale when the fastpath implementation version changes.
-# ---------------------------------------------------------------------------
-
-
-def test_engine_selection_changes_digest():
-    reference = tiny_spec()
-    fast = tiny_spec(config=fast_nvm_config(cores=1).replace(engine="fast"))
-    assert reference.digest(code_version="v1") != fast.digest(code_version="v1")
-    assert reference.describe()["engine"] == "reference"
-    assert fast.describe()["engine"] == "fast"
-
-
-def test_cross_engine_lookup_is_a_miss(tmp_path):
-    cache = ResultCache(tmp_path, code_version="v1")
-    reference_spec = tiny_spec()
-    cache.store(reference_spec, SweepRunner(jobs=1).run_one(reference_spec))
-
-    fast_spec = tiny_spec(config=fast_nvm_config(cores=1).replace(engine="fast"))
-    assert cache.load(fast_spec) is None
-    assert cache.misses == 1
-    # The reference entry itself is still a hit.
-    assert cache.load(reference_spec) is not None
-
-
-def test_fastpath_version_enters_fast_keys_only(monkeypatch):
-    import repro.sim.fastpath as fastpath
-
-    fast_spec = tiny_spec(config=fast_nvm_config(cores=1).replace(engine="fast"))
-    reference_spec = tiny_spec()
-    assert fast_spec.describe()["fastpath_version"] == fastpath.FASTPATH_VERSION
-    assert "fastpath_version" not in reference_spec.describe()
-
-    before = fast_spec.digest(code_version="v1")
-    reference_before = reference_spec.digest(code_version="v1")
-    monkeypatch.setattr(fastpath, "FASTPATH_VERSION", "test-bump")
-    assert fast_spec.digest(code_version="v1") != before
-    assert reference_spec.digest(code_version="v1") == reference_before
-
-
-def test_checkpoint_store_cross_engine_miss(tmp_path):
-    from repro.snapshot import CheckpointStore
-
-    cache = ResultCache(tmp_path, code_version="v1")
-    store = CheckpointStore(cache)
-    reference_spec = tiny_spec()
-    checkpoint = store.get_or_create(reference_spec, 2, kind="functional")
-    assert store.stores == 1
-
-    fast_spec = tiny_spec(config=fast_nvm_config(cores=1).replace(engine="fast"))
-    assert store.key(fast_spec, 2, "functional") != store.key(
-        reference_spec, 2, "functional"
-    )
-    assert store.load(fast_spec, 2, kind="functional") is None
-    assert store.load(reference_spec, 2, kind="functional") is not None
-    assert checkpoint.op_offset == 2
