@@ -125,8 +125,8 @@ def halted_run(halt_cycle):
 
 @pytest.mark.parametrize("halt_cycle", (1000, 7777, 20000))
 def test_halt_lands_on_its_exact_cycle(halt_cycle):
-    """A halt requested for a cycle the loop would otherwise skip over
-    stops the run at precisely that cycle, with reproducible counters."""
+    """A requested halt stops the run on precisely its cycle, even when
+    the loop would otherwise jump past it, with reproducible counters."""
     sim, halt = halted_run(halt_cycle)
     assert halt.cycle == halt_cycle == sim.engine.cycle
     again, _ = halted_run(halt_cycle)
