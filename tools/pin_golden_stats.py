@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Re-pin the golden reference-engine ``Stats`` digests.
+"""Re-pin the golden ``Stats`` digests and the golden report digests.
 
 Runs the matrix defined in ``tests/test_golden_stats.py`` under the
-reference engine and rewrites ``tests/golden/stats_digests.json``.  Run
-it only after a deliberate change to the timing model::
+reference engine and rewrites ``tests/golden/stats_digests.json``, then
+renders every lint and verify report listed in
+``tests/test_golden_diagnostics.py`` and rewrites
+``tests/golden/diagnostics_digests.json``.  Run it only after a
+deliberate change to the timing model, a lint rule or the verifier::
 
     PYTHONPATH=src python tools/pin_golden_stats.py
 
-A refactor or speed-up must leave the pinned file untouched.
+A refactor or speed-up must leave both pinned files untouched.
 """
 
 import json
@@ -17,21 +20,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from tests.test_golden_stats import GOLDEN_PATH, compute_digests  # noqa: E402
+from tests import test_golden_diagnostics, test_golden_stats  # noqa: E402
+
+
+def _write(path: Path, description: str, digests: dict) -> None:
+    doc = {"description": description, "digests": digests}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"pinned {len(digests)} entries to {path.relative_to(ROOT)}")
 
 
 def main() -> int:
-    digests = compute_digests()
-    doc = {
-        "description": (
-            "SHA-256 of each cell's ordered (counter, value) items plus its "
-            "final cycle under the reference engine; regenerate with "
-            "tools/pin_golden_stats.py"
-        ),
-        "digests": digests,
-    }
-    GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"pinned {len(digests)} cells to {GOLDEN_PATH.relative_to(ROOT)}")
+    _write(
+        test_golden_stats.GOLDEN_PATH,
+        "SHA-256 of each cell's ordered (counter, value) items plus its "
+        "final cycle under the reference engine; regenerate with "
+        "tools/pin_golden_stats.py",
+        test_golden_stats.compute_digests(),
+    )
+    _write(
+        test_golden_diagnostics.GOLDEN_PATH,
+        "SHA-256 of the text, JSON and SARIF renderings of each lint and "
+        "verify report (verify wall time zeroed); regenerate with "
+        "tools/pin_golden_stats.py",
+        test_golden_diagnostics.compute_digests(),
+    )
     return 0
 
 
