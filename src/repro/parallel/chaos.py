@@ -54,7 +54,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.schemes import BASELINE, FIGURE_ORDER, Scheme
 from repro.parallel.cache import ResultCache

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple
 

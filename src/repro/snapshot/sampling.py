@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.parallel.cellspec import CellSpec
-from repro.sim.simulator import Simulator
 from repro.snapshot.checkpoint import (
     CheckpointStore,
     create_checkpoint,
