@@ -187,18 +187,18 @@ class CodeGenerator:
         pointer chaining) or ``last_load`` unchanged."""
         if op.kind is OpKind.COMPUTE:
             # Dependent chain: serial application logic; each ALU waits
-            # on the one before it.
-            first = len(out)
-            out.extend(
-                Instruction(
-                    Kind.ALU, latency=op.latency, dep=first + i - 1 if i else -1, txid=txid
-                )
-                for i in range(op.amount)
-            )
+            # on the one before it.  Deps are relative, so every link
+            # after the head is one shared record.
+            if op.amount > 0:
+                link = Instruction(Kind.ALU, latency=op.latency, dep=1, txid=txid)
+                out.append(Instruction(Kind.ALU, latency=op.latency, txid=txid))
+                out.extend([link] * (op.amount - 1))
             return last_load
         if op.kind is OpKind.READ:
-            dep = last_load if op.chained else -1
-            return out.append(load(op.addr, size=op.size, dep=dep, txid=txid))
+            index = len(out)
+            dep = index - last_load if op.chained and last_load >= 0 else 0
+            out.append(load(op.addr, size=op.size, dep=dep, txid=txid))
+            return index
         # WRITE
         out.append(store(op.addr, size=op.size, value=op.value, txid=txid))
         return last_load
@@ -221,8 +221,8 @@ class CodeGenerator:
                 last_load = self._lower_op(op, out, txid=tx.txid, last_load=last_load)
                 continue
             for block in expand_log_blocks(op.addr, op.size):
-                load_idx = out.append(log_load(block, txid=tx.txid))
-                out.append(log_flush(block, txid=tx.txid, dep=load_idx))
+                out.append(log_load(block, txid=tx.txid))
+                out.append(log_flush(block, txid=tx.txid, dep=1))
             out.append(store(op.addr, size=op.size, value=op.value, txid=tx.txid))
 
     def _flush_written_lines(self, tx: TxRecord, out: InstructionTrace) -> None:

@@ -126,7 +126,7 @@ class ProteusAdapter(LoggingAdapter):
         # The flush has consumed the LR value; the register is dead and
         # can be reallocated (the paper sizes the LR file so it never
         # causes a structural hazard).
-        producer = self._loads.pop(dyn.instr.dep, None)
+        producer = self._loads.pop(dyn.instr.producer_index(dyn.seq), None)
         if producer is not None:
             self.lrs.release(producer.lr)
         if producer is not None and producer.llt_hit:

@@ -232,8 +232,9 @@ class OooCore:
                 self.sq_used += 1
             # Execute now, or once the producer completes.  A producer
             # absent from dyn_by_seq has retired, so it has completed.
+            # dep == 0 must not look up dyn.seq: that is this dyn itself.
             dep = instr.dep
-            producer = dyn_by_seq.get(dep) if dep >= 0 else None
+            producer = dyn_by_seq.get(dyn.seq - dep) if dep else None
             if producer is None or producer.state is _COMPLETED or producer.state is _RETIRED:
                 self._start(dyn)
             else:

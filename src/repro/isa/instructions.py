@@ -9,9 +9,12 @@ The instruction set mirrors the paper's simulation infrastructure:
 * the two Proteus instructions (``log-load`` / ``log-flush``) plus the
   ``log-save`` context-switch helper (paper section 3.2 and 4.4).
 
-Instructions are plain, immutable records.  The cycle-level core attaches
-per-dynamic-instance state separately (see ``repro.cpu.ooo_core``), so a
-single decoded trace can be replayed many times.
+Instructions are plain, immutable, position-independent records: a
+dependence is a backward distance, not a trace index, so one record can
+sit at many positions of a trace (every link of a lowered think chain is
+the same record).  The cycle-level core attaches per-dynamic-instance
+state separately (see ``repro.cpu.ooo_core``), so a single decoded trace
+can be replayed many times.
 """
 
 from __future__ import annotations
@@ -92,10 +95,14 @@ class Instruction:
         kind: the operation class.
         addr: memory address for memory operations (byte address).
         size: access size in bytes for memory operations.
-        dep: index (within the same trace) of an earlier instruction whose
-            *completion* this instruction must wait for before executing.
-            Used for pointer-chasing load chains and the LR dependence
-            between a ``log-flush`` and its producing ``log-load``.
+        dep: backward distance to the instruction whose *completion*
+            this instruction must wait for before executing: 0 means no
+            producer, k > 0 means the instruction k positions earlier in
+            the same trace.  Used for pointer-chasing load chains, think
+            chains and the LR dependence between a ``log-flush`` and its
+            producing ``log-load``.  A distance keeps the record valid
+            wherever it sits, so records are shared and must never be
+            written to.
         txid: transaction id for ``tx-begin``/``tx-end`` and for memory
             operations executed inside a transaction (0 = outside).
         latency: execution latency in cycles for ALU work.
@@ -108,7 +115,7 @@ class Instruction:
     kind: Kind
     addr: int = 0
     size: int = 8
-    dep: int = -1
+    dep: int = 0
     txid: int = 0
     latency: int = 1
     value: Optional[int] = None
@@ -129,6 +136,11 @@ class Instruction:
         """Return True when the instruction has fence retirement semantics."""
         return self.kind.is_fence
 
+    def producer_index(self, index: int) -> int:
+        """Trace index of this instruction's producer when the instruction
+        sits at ``index``, or -1 when it has none."""
+        return index - self.dep if self.dep else -1
+
     def line(self) -> int:
         """Cache-line base address of this access."""
         return cache_line_of(self.addr)
@@ -143,7 +155,7 @@ def alu(latency: int = 1, tag: str = "") -> Instruction:
     return Instruction(Kind.ALU, latency=latency, tag=tag)
 
 
-def load(addr: int, size: int = 8, dep: int = -1, txid: int = 0, tag: str = "") -> Instruction:
+def load(addr: int, size: int = 8, dep: int = 0, txid: int = 0, tag: str = "") -> Instruction:
     """A load of ``size`` bytes from ``addr``."""
     return Instruction(Kind.LOAD, addr=addr, size=size, dep=dep, txid=txid, tag=tag)
 
@@ -194,13 +206,13 @@ def tx_end(txid: int) -> Instruction:
     return Instruction(Kind.TX_END, txid=txid)
 
 
-def log_load(addr: int, txid: int, dep: int = -1) -> Instruction:
+def log_load(addr: int, txid: int, dep: int = 0) -> Instruction:
     """Proteus ``log-load``: read the 32 B block at ``addr`` into an LR."""
     return Instruction(Kind.LOG_LOAD, addr=log_block_of(addr), size=LOG_GRAIN, dep=dep, txid=txid)
 
 
 def log_flush(addr: int, txid: int, dep: int) -> Instruction:
-    """Proteus ``log-flush``: flush the LR produced by instruction ``dep``.
+    """Proteus ``log-flush``: flush the LR produced ``dep`` instructions earlier.
 
     ``addr`` records the *log-from* address (the 32 B block being logged);
     the log-to address is assigned dynamically from the LTA register in

@@ -67,7 +67,10 @@ class OpTrace:
 class InstructionTrace:
     """A per-thread lowered instruction stream.
 
-    The ``dep`` field of each instruction indexes into this list.
+    The ``dep`` field of the instruction at index ``i`` names its producer
+    as a backward distance: ``dep == 0`` is no producer, otherwise the
+    producer is ``instructions[i - dep]``.  Records carry no position, so
+    the same record may appear at several indices.
     """
 
     thread_id: int = 0
@@ -96,10 +99,10 @@ class InstructionTrace:
         return sum(1 for instr in self.instructions if instr.kind is kind)
 
     def validate(self) -> None:
-        """Check that dependence edges point strictly backwards."""
+        """Check that every dependence reaches a strictly earlier instruction."""
         for index, instr in enumerate(self.instructions):
-            if instr.dep >= 0 and instr.dep >= index:
+            if not 0 <= instr.dep <= index:
                 raise ValueError(
-                    f"instruction {index} depends on {instr.dep}, which is "
-                    f"not strictly earlier in the trace"
+                    f"instruction {index} has dep={instr.dep}, which does not "
+                    f"reach a strictly earlier instruction of the trace"
                 )

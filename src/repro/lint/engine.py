@@ -461,18 +461,19 @@ class Analyzer:
 
     def _visit_log_flush(self, index: int, instr: Instruction) -> None:
         block = log_block_of(instr.addr)
-        producer = self._lr_blocks.get(instr.dep) if instr.dep >= 0 else None
+        source = instr.producer_index(index)
+        producer = self._lr_blocks.get(source)
         if producer is None or producer != block:
             self._report(
                 "P006",
                 index,
                 f"log-flush of block {block:#x} has no matching log-load "
-                f"producer (dep={instr.dep})",
+                f"producer (dep={source})",
                 addr=block,
                 txid=instr.txid,
             )
             return
-        self._unflushed_loads.pop(instr.dep, None)
+        self._unflushed_loads.pop(source, None)
         if block in self._covered_blocks:
             self._report(
                 "W101",

@@ -12,9 +12,13 @@ three ways:
   mutations, closing the static/dynamic loop;
 * ad-hoc debugging (`what would the lint say if codegen forgot X?`).
 
-All mutators preserve ``dep`` consistency: indices are remapped after
-dropping or reordering, and a dependence on a dropped instruction
-becomes ``-1`` (that *is* the bug for the dangling-producer mutator).
+All mutators preserve ``dep`` consistency.  A ``dep`` is a backward
+distance, so after dropping or reordering, each surviving edge's
+distance is recomputed from its producer's new position, and a
+dependence on a dropped instruction becomes ``0``, no producer (that
+*is* the bug for the dangling-producer mutator).  Instructions are
+shared, immutable records: a mutator substitutes new records and never
+writes to an existing one.
 """
 
 from __future__ import annotations
@@ -38,19 +42,20 @@ def rebuild(
 
     ``order`` lists surviving *old* indices in their new order.
     ``overrides`` substitutes whole instructions by old index (applied
-    before dep remapping).  A dep pointing at a dropped instruction, or
-    at one that now comes later, is cleared to ``-1``.
+    before dep remapping).  Each dep is re-measured from the producer's
+    new position; a dep pointing at a dropped instruction, or at one
+    that now comes later, is cleared to ``0``.
     """
     overrides = overrides or {}
     new_index = {old: new for new, old in enumerate(order)}
     out = InstructionTrace(thread_id=trace.thread_id)
     for new, old in enumerate(order):
         instr = overrides.get(old, trace[old])
-        dep = instr.dep
-        if dep >= 0:
-            mapped = new_index.get(dep, -1)
-            dep = mapped if 0 <= mapped < new else -1
-        out.append(replace(instr, dep=dep))
+        mapped = new_index.get(instr.producer_index(old))
+        dep = new - mapped if mapped is not None and mapped < new else 0
+        if dep != instr.dep:
+            instr = replace(instr, dep=dep)
+        out.append(instr)
     return out
 
 
@@ -186,7 +191,7 @@ def dangling_tx_begin(trace: InstructionTrace, nth: int = 1) -> InstructionTrace
 def dangling_log_flush(trace: InstructionTrace, nth: int = 1) -> InstructionTrace:
     """Clear the ``nth`` ``log-flush``'s producer dependence (P006)."""
     target = _nth_index(trace, lambda i, ins: ins.kind is Kind.LOG_FLUSH, nth)
-    override = replace(trace[target], dep=-1)
+    override = replace(trace[target], dep=0)
     return rebuild(trace, range(len(trace)), overrides={target: override})
 
 

@@ -378,7 +378,7 @@ class StreamState:
     def _apply_log_flush(self, index: int, instr: Instruction) -> None:
         if self.open_txid is None or instr.txid != self.open_txid:
             return  # dangling flush outside any transaction: no entry
-        captured = self._lr.get(instr.dep) if instr.dep >= 0 else None
+        captured = self._lr.get(instr.producer_index(index))
         if captured is None:
             return  # no producer (P006): the flush carries no undo data
         self.entries.append(

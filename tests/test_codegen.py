@@ -102,12 +102,12 @@ def test_proteus_expands_stores_into_triples():
     assert out.count(Kind.LOG_LOAD) == 3
     assert out.count(Kind.LOG_FLUSH) == 3
     assert out.count(Kind.STORE) == 3
-    # Pair ordering: log-load, log-flush (dep on the load), then store.
+    # Pair ordering: log-load, log-flush (dep on the load one back), then store.
     instrs = list(out)
     for n, instr in enumerate(instrs):
         if instr.kind is Kind.LOG_FLUSH:
             assert instrs[n - 1].kind is Kind.LOG_LOAD
-            assert instr.dep == n - 1
+            assert instr.dep == 1
             assert instrs[n + 1].kind is Kind.STORE
 
 
@@ -138,9 +138,9 @@ def test_chained_reads_lowered_with_dependence():
     tx.log_candidates = [(0x1000, 64)]
     out = lower(Scheme.PMEM_NOLOG, tx)
     loads = [(n, i) for n, i in enumerate(out) if i.kind is Kind.LOAD]
-    assert loads[0][1].dep == -1
-    assert loads[1][1].dep == loads[0][0]
-    assert loads[2][1].dep == loads[1][0]
+    assert loads[0][1].dep == 0
+    assert loads[1][0] - loads[1][1].dep == loads[0][0]
+    assert loads[2][0] - loads[2][1].dep == loads[1][0]
 
 
 def test_compute_lowered_as_dependent_chain():
@@ -150,10 +150,12 @@ def test_compute_lowered_as_dependent_chain():
     out = generator.lower_trace(trace)
     alus = [(n, i) for n, i in enumerate(out) if i.kind is Kind.ALU]
     assert len(alus) == 4
-    assert alus[0][1].dep == -1
-    for (prev_n, _), (__, instr) in zip(alus, alus[1:]):
-        assert instr.dep == prev_n
+    assert alus[0][1].dep == 0
+    for (prev_n, _), (n, instr) in zip(alus, alus[1:]):
+        assert n - instr.dep == prev_n
         assert instr.latency == 3
+    # Every link after the head is one shared record.
+    assert all(instr is alus[1][1] for _, instr in alus[1:])
 
 
 def test_sw_log_cursor_wraps():

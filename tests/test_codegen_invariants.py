@@ -9,9 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen import CodeGenerator, SW_LOG_BYTES_PER_LINE, ThreadLayout
 from repro.core.schemes import Scheme
-from repro.isa.instructions import Kind, expand_lines, expand_log_blocks
+from repro.isa.instructions import (
+    Kind,
+    alu,
+    expand_lines,
+    expand_log_blocks,
+    load,
+    sfence,
+    store,
+    tx_begin,
+    tx_end,
+)
 from repro.isa.ops import Op, TxRecord
-from repro.isa.trace import OpTrace
+from repro.isa.trace import InstructionTrace, OpTrace
 
 
 def make_layout():
@@ -34,7 +44,7 @@ def transactions(draw):
         if kind == "c":
             body.append(Op.compute(draw(st.integers(min_value=1, max_value=4))))
         elif kind == "r":
-            body.append(Op.read(draw(st.sampled_from(pool))))
+            body.append(Op.read(draw(st.sampled_from(pool)), chained=draw(st.booleans())))
         else:
             size = draw(st.sampled_from([8, 8, 8, 64]))
             addr = draw(st.sampled_from(pool))
@@ -73,7 +83,8 @@ def test_proteus_flush_depends_on_its_log_load(tx):
     out = lower(tx, Scheme.PROTEUS)
     for index, instr in enumerate(out):
         if instr.kind is Kind.LOG_FLUSH:
-            producer = out[instr.dep]
+            assert instr.dep > 0
+            producer = out[index - instr.dep]
             assert producer.kind is Kind.LOG_LOAD
             assert producer.addr == instr.addr
 
@@ -128,6 +139,36 @@ def test_every_scheme_persists_every_written_line(tx, scheme):
             flushed.add(instr.line())
     for line in tx.written_lines():
         assert line in flushed
+
+
+#: Records a trace may already hold when a transaction is lowered into it.
+PREFIX_RECORDS = [
+    alu(),
+    load(0x2000),
+    load(0x2040, dep=1),
+    store(0x2000, value=3),
+    sfence(),
+    tx_begin(9),
+    tx_end(9),
+]
+
+
+@given(
+    transactions(),
+    st.lists(st.sampled_from(PREFIX_RECORDS), max_size=40),
+    st.sampled_from(list(Scheme)),
+)
+@settings(max_examples=80, deadline=None)
+def test_lowering_is_position_independent(tx, prefix, scheme):
+    """Deps are backward distances, so a transaction's records do not
+    depend on where it lands: lowering it after any prefix appends
+    exactly the records that lowering it into an empty trace produces."""
+    alone = InstructionTrace()
+    CodeGenerator(scheme, make_layout(), 0).lower_transaction(tx, alone)
+    after = InstructionTrace(instructions=list(prefix))
+    CodeGenerator(scheme, make_layout(), 0).lower_transaction(tx, after)
+    assert after.instructions[: len(prefix)] == prefix
+    assert after.instructions[len(prefix) :] == alone.instructions
 
 
 @given(transactions())

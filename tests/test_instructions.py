@@ -68,6 +68,13 @@ def test_log_flush_records_dependence():
     assert instr.addr == 0x120  # 32 B aligned
 
 
+def test_producer_index_decodes_the_backward_distance():
+    flush = log_flush(0x100, txid=1, dep=1)
+    assert flush.producer_index(7) == 6
+    assert flush.producer_index(1) == 0
+    assert load(0x100).producer_index(7) == -1  # dep=0: no producer
+
+
 def test_expand_lines_spanning_access():
     assert expand_lines(0x100, 8) == (0x100,)
     assert expand_lines(0x13C, 8) == (0x100, 0x140)

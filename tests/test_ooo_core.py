@@ -72,7 +72,7 @@ def test_alu_stream_retires_at_width():
 
 
 def test_dependent_chain_serializes():
-    instrs = [Instruction(Kind.ALU, latency=2, dep=i - 1 if i else -1) for i in range(20)]
+    instrs = [Instruction(Kind.ALU, latency=2, dep=1 if i else 0) for i in range(20)]
     engine, stats, core = build_core(instrs)
     cycles = run_core(engine, core)
     assert cycles >= 40  # 20 x latency 2, serialized
@@ -90,7 +90,7 @@ def test_independent_loads_overlap():
 def test_chained_loads_serialize():
     instrs = [load(0x1000)]
     for i in range(1, 4):
-        instrs.append(load(0x1000 + 0x1000 * i, dep=i - 1))
+        instrs.append(load(0x1000 + 0x1000 * i, dep=1))
     engine, stats, core = build_core(instrs)
     cycles = run_core(engine, core)
     assert cycles > 3 * 100  # pointer chase: sequential round trips

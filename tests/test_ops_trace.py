@@ -63,10 +63,29 @@ def test_optrace_counts():
 
 
 def test_instruction_trace_validate_rejects_forward_dep():
+    # A dep is a backward distance; a negative one would point forward.
     trace = InstructionTrace()
-    trace.append(load(0x100, dep=5))
+    trace.append(alu())
+    trace.append(load(0x100, dep=-1))
+    trace.append(alu())
     with pytest.raises(ValueError):
         trace.validate()
+
+
+def test_instruction_trace_validate_rejects_dep_before_start():
+    trace = InstructionTrace()
+    trace.append(alu())
+    trace.append(load(0x100, dep=2))
+    with pytest.raises(ValueError):
+        trace.validate()
+
+
+def test_instruction_trace_validate_accepts_dep_to_index_zero():
+    trace = InstructionTrace()
+    trace.append(alu())
+    trace.append(alu())
+    trace.append(load(0x100, dep=2))
+    trace.validate()
 
 
 def test_instruction_trace_count_and_indexing():
