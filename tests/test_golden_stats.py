@@ -34,10 +34,12 @@ SEEDS = (7, 31)
 SIZING = dict(init_ops=32, sim_ops=10)
 
 #: Multithreaded cells: contention in the shared memory controller and
-#: caches, under the software, ATOM and Proteus logging paths.
+#: caches, under the software, ATOM and Proteus logging paths.  Four
+#: threads is the figure sweeps' core count, where every core's stall
+#: cycles add into one counter.
 MULTI_THREAD_WORKLOADS = ("QE", "HM")
 MULTI_THREAD_SCHEMES = (Scheme.PMEM, Scheme.ATOM, Scheme.PROTEUS)
-MULTI_THREADS = 2
+MULTI_THREADS = (2, 4)
 
 #: (workload, scheme, seed, threads)
 Cell = Tuple[str, Scheme, int, int]
@@ -52,7 +54,8 @@ def golden_cells() -> List[Cell]:
         for seed in SEEDS
     ]
     cells += [
-        (workload, scheme, seed, MULTI_THREADS)
+        (workload, scheme, seed, threads)
+        for threads in MULTI_THREADS
         for workload in MULTI_THREAD_WORKLOADS
         for scheme in MULTI_THREAD_SCHEMES
         for seed in SEEDS

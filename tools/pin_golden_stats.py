@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Re-pin the golden ``Stats`` digests and the golden report digests.
+"""Re-pin the golden ``Stats``, report and trace digests.
 
 Runs the matrix defined in ``tests/test_golden_stats.py`` under the
-reference engine and rewrites ``tests/golden/stats_digests.json``, then
+reference engine and rewrites ``tests/golden/stats_digests.json``,
 renders every lint and verify report listed in
 ``tests/test_golden_diagnostics.py`` and rewrites
-``tests/golden/diagnostics_digests.json``.  Run it only after a
-deliberate change to the timing model, a lint rule or the verifier::
+``tests/golden/diagnostics_digests.json``, then traces the runs listed
+in ``tests/test_golden_traces.py`` and rewrites
+``tests/golden/trace_digests.json``.  Run it only after a deliberate
+change to the timing model, the tracer, a lint rule or the verifier::
 
     PYTHONPATH=src python tools/pin_golden_stats.py
 
-A refactor or speed-up must leave both pinned files untouched.
+A refactor or speed-up must leave all three pinned files untouched.
 """
 
 import json
@@ -20,7 +22,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from tests import test_golden_diagnostics, test_golden_stats  # noqa: E402
+from tests import (  # noqa: E402
+    test_golden_diagnostics,
+    test_golden_stats,
+    test_golden_traces,
+)
 
 
 def _write(path: Path, description: str, digests: dict) -> None:
@@ -43,6 +49,12 @@ def main() -> int:
         "verify report (verify wall time zeroed); regenerate with "
         "tools/pin_golden_stats.py",
         test_golden_diagnostics.compute_digests(),
+    )
+    _write(
+        test_golden_traces.GOLDEN_PATH,
+        "SHA-256 of the Chrome-trace JSON and the summary JSON of each "
+        "traced run; regenerate with tools/pin_golden_stats.py",
+        test_golden_traces.compute_digests(),
     )
     return 0
 
