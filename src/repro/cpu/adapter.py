@@ -7,6 +7,11 @@ store-buffer release (log-before-data ordering).  The software schemes
 (PMEM variants) use :class:`NullAdapter`, whose trace contains no logging
 instructions; ATOM and Proteus provide real implementations in
 :mod:`repro.core.atom` and :mod:`repro.core.proteus`.
+
+ALU instructions never reach an adapter hook.  No scheme acts on one
+(ATOM hooks stores and transaction marks, Proteus the logging
+instructions and transaction marks), so the core skips the hooks for
+the think chains that make up most of a lowered trace.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class LoggingAdapter:
-    """Scheme hooks invoked by the core. Base implementation is inert."""
+    """Scheme hooks invoked by the core. Base implementation is inert.
+
+    The core calls these hooks for every instruction kind except ALU:
+    an ALU instruction dispatches, executes and retires without the
+    adapter seeing it.
+    """
 
     #: observability sink; the simulator swaps in a live tracer.
     tracer: Tracer = NULL_TRACER

@@ -10,14 +10,17 @@ semantics, and the scheme adapter's logging rules.
 One :meth:`OooCore.tick` models one cycle: retire → start executions →
 drain the store buffer → dispatch.  The method returns True when the
 core made any progress, which lets the simulator fast-forward the clock
-to the next memory event when every core is stalled.
+to the next memory event when every core is stalled.  A core whose ROB
+is full behind an executing head, with nothing left to drain, can only
+count a ``stall.rob``, so its tick does just that until the next
+completion.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cpu.adapter import LoggingAdapter, NullAdapter
 from repro.cpu.frontend import Frontend
@@ -73,14 +76,12 @@ class DynInstr:
         self.instr = instr
         self.seq = seq
         self.state = _DISPATCHED
-        self.waiters: List[Callable[[], None]] = []
+        #: dispatched dependents, started when this instruction completes
+        self.waiters: List[DynInstr] = []
         self.lr: Optional[int] = None           # Proteus log register index
         self.logq_entry = None                  # Proteus LogQ entry
         self.llt_hit = False                    # Proteus LLT filter hit
         self.log_acked = False                  # ATOM per-store log ack
-
-    def completed(self) -> bool:
-        return self.state is _COMPLETED or self.state is _RETIRED
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<dyn #{self.seq} {self.instr.kind.value} {self.state.name}>"
@@ -134,6 +135,10 @@ class OooCore:
         self._mshr_used = 0
         self._mshr_waiters: List[DynInstr] = []
         self._progress = False
+        #: set when the ROB is full, its head has not completed and the
+        #: store buffer holds nothing to drain: until an instruction
+        #: completes, a tick can only count a ROB stall.
+        self.waiting_on_head = False
         #: optional fault-injection observer with ``on_retire(core, dyn)``,
         #: called after the adapter's own retirement bookkeeping.
         self.retire_observer = None
@@ -156,6 +161,11 @@ class OooCore:
 
     def tick(self) -> bool:
         """Simulate one cycle; returns True when any progress was made."""
+        if self.waiting_on_head:
+            # Nothing retires, drains or dispatches before the head
+            # completes, and every completion clears the flag.
+            self.frontend.record_stall("rob")
+            return False
         self._progress = False
         self._retire()
         self._drain_store_buffer()
@@ -165,6 +175,7 @@ class OooCore:
     # -- completion plumbing -------------------------------------------------------
 
     def _mark_completed(self, dyn: DynInstr) -> None:
+        self.waiting_on_head = False
         if dyn.state is _COMPLETED:
             return
         dyn.state = _COMPLETED
@@ -178,7 +189,7 @@ class OooCore:
         if waiters:
             dyn.waiters = []
             for waiter in waiters:
-                waiter()
+                self._start(waiter)
 
     def complete_after(self, dyn: DynInstr, delay: int) -> None:
         """Schedule completion of ``dyn`` after ``delay`` cycles."""
@@ -214,9 +225,11 @@ class OooCore:
                 cause = "sq"
                 break
             dyn = DynInstr(instr, pc)
-            cause = adapter.dispatch_blocked(dyn)
-            if cause is not None:
-                break
+            # No adapter acts on an ALU instruction.
+            if kind is not _ALU:
+                cause = adapter.dispatch_blocked(dyn)
+                if cause is not None:
+                    break
             pc += 1
             frontend.pc = pc
             rob.append(dyn)
@@ -238,13 +251,19 @@ class OooCore:
             if producer is None or producer.state is _COMPLETED or producer.state is _RETIRED:
                 self._start(dyn)
             else:
-                producer.waiters.append(partial(self._start, dyn))
+                producer.waiters.append(dyn)
             dispatched += 1
         if dispatched:
             self._progress = True
             self.stats.add("dispatched_instructions", dispatched)
         elif pc < end:
             frontend.record_stall(cause)
+        if (
+            cause == "rob"
+            and rob[0].state is not _COMPLETED
+            and self.store_buffer.head() is None
+        ):
+            self.waiting_on_head = True
 
     # -- execution -----------------------------------------------------------------------
 
@@ -258,12 +277,13 @@ class OooCore:
                 "instr", "issue", tid=self.core_id, seq=dyn.seq,
                 kind=dyn.instr.kind.value,
             )
-        if self.adapter.start_execute(dyn):
-            return
         kind = dyn.instr.kind
         if kind is _ALU:
             self.complete_after(dyn, max(1, dyn.instr.latency))
-        elif kind is _LOAD:
+            return
+        if self.adapter.start_execute(dyn):
+            return
+        if kind is _LOAD:
             self._issue_load(dyn)
         elif kind is _STORE:
             # Address generation triggers the read-for-ownership prefetch
@@ -332,7 +352,7 @@ class OooCore:
                         kind=kind.value,
                     )
                 break
-            if adapter.retire_blocked(dyn):
+            if kind is not _ALU and adapter.retire_blocked(dyn):
                 self.stats.add("retire_blocked.adapter")
                 if self.tracer.enabled:
                     self.tracer.instant(
@@ -351,7 +371,8 @@ class OooCore:
             if kind is _PCOMMIT:
                 self.pending_pcommits += 1
                 self.memctrl.notify_when_persistent(self._pcommit_done)
-            adapter.on_retire(dyn)
+            if kind is not _ALU:
+                adapter.on_retire(dyn)
             if self.retire_observer is not None:
                 self.retire_observer.on_retire(self.core_id, dyn)
             self.stats.add("retired_instructions")
