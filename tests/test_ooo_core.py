@@ -26,7 +26,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 
 
-def build_core(instructions, core_config=None, warm=()):
+def build_core(instructions, core_config=None, warm=(), adapter=None):
     engine = Engine()
     stats = Stats()
     config = SystemConfig(
@@ -46,7 +46,7 @@ def build_core(instructions, core_config=None, warm=()):
         hierarchy.warm(0, line)
     trace = InstructionTrace(thread_id=0)
     trace.extend(instructions)
-    core = OooCore(0, engine, config.core, trace, hierarchy, mc, stats)
+    core = OooCore(0, engine, config.core, trace, hierarchy, mc, stats, adapter=adapter)
     return engine, stats, core
 
 
