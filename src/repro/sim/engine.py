@@ -88,9 +88,31 @@ class Engine:
         """Run ``callback`` at absolute ``cycle`` (must not be in the past)."""
         self.schedule(cycle - self.cycle, callback)
 
+    def cancel(self, cycle: int, match: Callable[[Callable[[], None]], bool]) -> bool:
+        """Remove the earliest-scheduled pending event at ``cycle`` whose
+        callback satisfies ``match``; returns False when there is none.
+
+        Linear in the number of pending events: the simulator calls it
+        once per parked think chain, not per cycle.
+        """
+        heap = self._heap
+        found = None
+        for entry in heap:
+            if entry[0] == cycle and match(entry[2]) and (found is None or entry[1] < found[1]):
+                found = entry
+        if found is None:
+            return False
+        heap.remove(found)
+        heapq.heapify(heap)
+        return True
+
     def pending_events(self) -> int:
         """Number of events not yet fired."""
         return len(self._heap)
+
+    def pending_cycles(self) -> List[int]:
+        """Cycle of every pending event, earliest first."""
+        return sorted(when for when, __, __ in self._heap)
 
     def next_event_cycle(self) -> Optional[int]:
         """Cycle of the earliest pending event, or ``None`` when empty."""

@@ -5,6 +5,15 @@ scheme, lowers the per-thread workload traces, and runs the cycle loop to
 completion.  The loop fast-forwards the clock to the next memory event
 whenever every core is stalled, so long NVM latencies cost nothing to
 simulate.
+
+A core that only waits on a think chain is parked (``OooCore.park``):
+it leaves the tick list until its window ends.  While a parked core and
+a live core coexist the loop steps one cycle at a time, as the parked
+core's own schedule would make it; once every live core is parked it
+jumps to the next event, the earliest window end or the cycle budget.
+A halt or a budget error first rebuilds every parked core
+(``OooCore.unpark``), so the state it leaves is the one ticking would
+have left.  No parking happens under a live tracer.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from repro.sim.config import SystemConfig, fast_nvm_config
 from repro.sim.engine import Engine, SimulationHalted
 from repro.sim.stats import Stats
 from repro.workloads.heap import ThreadAddressSpace
+
+#: unpark cycle while no core is parked
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -262,15 +274,28 @@ class Simulator:
         # A finished core stays finished and ticking it changes nothing,
         # so each iteration checks and ticks only the cores still live.
         live = list(self.cores)
+        # Cores parked in a think-chain window -> the cycle on which each
+        # is unparked, and the earliest of those cycles.
+        parked: Dict[OooCore, int] = {}
+        resume_at = _NEVER
         while True:
             if engine.halted:
+                self._unpark(parked)
                 raise SimulationHalted(engine.cycle, engine.halt_reason)
+            if engine.cycle >= resume_at:
+                for core, at in list(parked.items()):
+                    if at <= engine.cycle:
+                        del parked[core]
+                        core.unpark()
+                live = [core for core in self.cores if core not in parked]
+                resume_at = min(parked.values(), default=_NEVER)
             if sampler is not None:
                 sampler.maybe_sample()
             live = [core for core in live if not core.finished()]
-            if not live:
+            if not live and not parked:
                 break
             if engine.cycle >= max_cycles:
+                self._unpark(parked)
                 raise RuntimeError(
                     f"simulation exceeded its budget of {max_cycles} cycles "
                     f"at cycle {engine.cycle} "
@@ -278,11 +303,33 @@ class Simulator:
                 )
             fired = engine.fire_due_events()
             if engine.halted:
-                continue
+                self._unpark(parked, fired=True)
+                raise SimulationHalted(engine.cycle, engine.halt_reason)
             progress = False
+            parking = False
             for core in live:
                 if core.tick():
                     progress = True
+                elif core.waiting_on_head:
+                    until = core.park()
+                    if until is not None:
+                        parked[core] = until
+                        parking = True
+            if parking:
+                live = [core for core in live if core not in parked]
+                resume_at = min(parked.values())
+            if parked:
+                # A parked core's own schedule visits every cycle of its
+                # window, so the loop steps while other cores are live.
+                if live:
+                    engine.advance(1)
+                    continue
+                target = min(resume_at, max_cycles)
+                next_cycle = engine.next_event_cycle()
+                if next_cycle is not None and next_cycle < target:
+                    target = next_cycle
+                engine.fast_forward(target)
+                continue
             if progress or fired:
                 engine.advance(1)
                 continue
@@ -302,6 +349,14 @@ class Simulator:
             stats=self.stats,
             cycles=engine.cycle,
         )
+
+    @staticmethod
+    def _unpark(parked: Dict[OooCore, int], fired: bool = False) -> None:
+        """Rebuild every parked core at the current cycle (see
+        :meth:`OooCore.unpark`) before a halt or an error reports it."""
+        for core in parked:
+            core.unpark(fired)
+        parked.clear()
 
     def _final_drain(self) -> None:
         """Flush remaining controller-side writes so NVM write counts are

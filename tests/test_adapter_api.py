@@ -84,15 +84,27 @@ class RecordingAdapter(LoggingAdapter):
         self.seen["retire"].append(dyn.seq)
 
 
+class RecordingObserver:
+    """Retire observer that records the seqs it sees, per core."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_retire(self, core_id, dyn):
+        self.seen.append((core_id, dyn.seq))
+
+
 def test_alu_instructions_never_reach_an_adapter_hook():
-    """The core calls the dispatch, execute and retire hooks for every
-    other kind, and for no ALU instruction."""
+    """The core calls the dispatch, execute and retire hooks and the
+    retire observer for every other kind, and for no ALU instruction."""
     stream = [
         alu(), tx_begin(1), load(0x1000), alu(latency=2), store(0x2000, value=1),
         alu(), clwb(0x2000), sfence(), alu(), tx_end(1), alu(),
     ]
     adapter = RecordingAdapter()
+    observer = RecordingObserver()
     engine, stats, core = build_core(stream, adapter=adapter)
+    core.retire_observer = observer
     run_core(engine, core)
 
     assert stats.get("retired_instructions") == len(stream)
@@ -104,3 +116,4 @@ def test_alu_instructions_never_reach_an_adapter_hook():
     assert sorted(adapter.seen["start"]) == non_alu
     assert adapter.seen["retire_blocked"] == non_alu
     assert adapter.seen["retire"] == non_alu
+    assert observer.seen == [(0, seq) for seq in non_alu]

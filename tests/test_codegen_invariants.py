@@ -5,6 +5,7 @@ provide for recovery to be possible; random transactions from hypothesis
 drive them.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen import CodeGenerator, SW_LOG_BYTES_PER_LINE, ThreadLayout
@@ -22,6 +23,9 @@ from repro.isa.instructions import (
 )
 from repro.isa.ops import Op, TxRecord
 from repro.isa.trace import InstructionTrace, OpTrace
+from repro.lint.runner import lower_for_lint
+from repro.workloads import WORKLOADS
+from repro.workloads.base import generate_traces
 
 
 def make_layout():
@@ -177,3 +181,37 @@ def test_traces_valid_for_all_schemes(tx):
     for scheme in Scheme:
         out = lower(tx, scheme)
         out.validate()  # dependence edges point backwards
+
+
+def alu_producers_of_non_alus(trace):
+    """Indices of non-ALU instructions whose producer is an ALU."""
+    instructions = trace.instructions
+    return [
+        index
+        for index, instr in enumerate(instructions)
+        if instr.kind is not Kind.ALU
+        and instr.dep
+        and instructions[index - instr.dep].kind is Kind.ALU
+    ]
+
+
+# An ALU completion then starts only ALUs, so the order in which a
+# completion fires among same-cycle events cannot be observed.  The
+# think-chain window relies on it when it re-creates a parked core's
+# head completion with a fresh sequence number.
+
+
+@given(transactions(), st.sampled_from(list(Scheme)))
+@settings(max_examples=80, deadline=None)
+def test_no_lowered_non_alu_has_an_alu_producer(tx, scheme):
+    assert alu_producers_of_non_alus(lower(tx, scheme)) == []
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_no_workload_stream_gives_a_non_alu_an_alu_producer(scheme, workload):
+    for op_trace in generate_traces(
+        WORKLOADS[workload], threads=2, seed=7, init_ops=16, sim_ops=6
+    ):
+        trace, _ = lower_for_lint(op_trace, scheme)
+        assert alu_producers_of_non_alus(trace) == []

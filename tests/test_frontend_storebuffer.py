@@ -1,60 +1,13 @@
-"""Unit tests for the pipeline front end and the store buffer."""
+"""Unit tests for the store buffer.
+
+The front end's stall accounting is tested through the core, in
+``tests/test_ooo_core.py``.
+"""
 
 
-from repro.cpu.frontend import Frontend
 from repro.cpu.store_buffer import StoreBuffer
 from repro.cpu.ooo_core import DynInstr
-from repro.isa.instructions import alu, store
-from repro.isa.trace import InstructionTrace
-from repro.sim.stats import Stats
-
-
-def make_frontend(n=3):
-    trace = InstructionTrace()
-    for _ in range(n):
-        trace.append(alu())
-    stats = Stats()
-    return Frontend(trace, stats), stats
-
-
-def test_frontend_sequential_consume():
-    frontend, _ = make_frontend(3)
-    assert not frontend.exhausted()
-    seen = []
-    while not frontend.exhausted():
-        assert frontend.peek() is not None
-        seen.append(frontend.consume())
-    assert len(seen) == 3
-    assert frontend.peek() is None
-
-
-def test_stall_recorded_once_per_cycle_first_cause_wins():
-    frontend, stats = make_frontend(3)
-    frontend.note_stall("rob")
-    frontend.note_stall("sq")  # ignored: first cause wins
-    frontend.end_cycle(dispatched=0)
-    assert stats.get("stall.rob") == 1
-    assert stats.get("stall.sq") == 0
-
-
-def test_no_stall_when_something_dispatched():
-    frontend, stats = make_frontend(3)
-    frontend.note_stall("rob")
-    frontend.end_cycle(dispatched=2)
-    assert stats.frontend_stalls() == 0
-
-
-def test_no_stall_when_trace_exhausted():
-    frontend, stats = make_frontend(1)
-    frontend.consume()
-    frontend.end_cycle(dispatched=0)
-    assert stats.frontend_stalls() == 0
-
-
-def test_unattributed_stall_counted_as_other():
-    frontend, stats = make_frontend(2)
-    frontend.end_cycle(dispatched=0)
-    assert stats.get("stall.other") == 1
+from repro.isa.instructions import store
 
 
 def _dyn(seq):

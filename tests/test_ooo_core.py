@@ -114,6 +114,49 @@ def test_store_queue_limit_stalls():
     assert stats.get("retired_instructions") == 10
 
 
+def test_a_stall_is_counted_per_tick_that_dispatched_nothing():
+    """A tick that dispatched something counts no stall, and neither
+    does one after the whole trace has dispatched.  Any other tick
+    counts exactly one stall, against the first blocking resource in
+    attribution order: a full ROB wins over a full store queue."""
+    config = CoreConfig(rob_entries=4, store_queue_entries=3)
+    instrs = [load(0x40000)] + [store(0x1000 + 64 * i, value=i) for i in range(6)]
+    engine, stats, core = build_core(instrs, core_config=config)
+    counted = {"dispatched": 0, "rob and sq full": 0, "sq": 0, "exhausted": 0}
+    while not core.finished():
+        assert engine.cycle < 100_000, "core did not finish"
+        fired = engine.fire_due_events()
+        exhausted = core.frontend.exhausted()
+        dispatched = stats.get("dispatched_instructions")
+        stalls = stats.stall_breakdown()
+        progressed = core.tick()
+        added = {
+            cause: count - stalls.get(cause, 0)
+            for cause, count in stats.stall_breakdown().items()
+            if count != stalls.get(cause, 0)
+        }
+        if stats.get("dispatched_instructions") > dispatched:
+            assert added == {}
+            counted["dispatched"] += 1
+        elif exhausted:
+            assert added == {}
+            counted["exhausted"] += 1
+        elif len(core.rob) >= config.rob_entries:
+            assert added == {"rob": 1}
+            if core.sq_used >= config.store_queue_entries:
+                counted["rob and sq full"] += 1
+        else:
+            assert core.sq_used >= config.store_queue_entries
+            assert added == {"sq": 1}
+            counted["sq"] += 1
+        if progressed or fired:
+            engine.advance(1)
+        else:
+            assert engine.advance_to_next_event(), "deadlock"
+    assert all(counted.values()), counted
+    assert stats.get("retired_instructions") == len(instrs)
+
+
 def test_sfence_waits_for_clwb_ack():
     warm = [0x1000]
     instrs = [store(0x1000, value=1), clwb(0x1000), sfence(), alu()]
