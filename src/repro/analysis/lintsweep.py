@@ -4,7 +4,8 @@ This is the correctness gate CI runs before any codegen change lands:
 every bundled scheme's lowering of every bundled workload must produce
 zero error-severity diagnostics.  The report is a compact matrix (one
 cell per combination) followed by any diagnostics, deterministic for a
-fixed seed.
+fixed seed.  Cells run through the sweep executor,
+:func:`~repro.parallel.resilience.resilient_map`, like every other sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.parallel.resilience import (
     ResilienceConfig,
     resilient_map,
 )
-from repro.parallel.runner import parallel_map
 from repro.workloads import BENCHMARK_ORDER
 
 
@@ -158,13 +158,14 @@ def lint_sweep(
 ) -> LintSweepResult:
     """Lint every (scheme, workload) combination of the given sets.
 
-    Defaults sweep all bundled schemes over all bundled workloads.  With
-    ``jobs > 1`` the cells are linted in worker processes; result order
-    (and therefore the report) is identical either way.  With a
-    ``resilience`` config and/or a ``journal`` attached, execution goes
-    through :func:`~repro.parallel.resilience.resilient_map`: crashed or
-    stuck workers are healed, exhausted cells are quarantined (rendered
-    as ``-`` in the matrix), and a killed sweep resumes from the journal.
+    Defaults sweep all bundled schemes over all bundled workloads.  Cells
+    run through :func:`~repro.parallel.resilience.resilient_map`: with
+    ``jobs > 1`` they are linted in worker processes, and result order
+    (and therefore the report) is identical either way.  Without a
+    ``resilience`` config or a ``journal`` the first failing cell fails
+    the sweep.  With either one, crashed or stuck workers are healed,
+    exhausted cells are quarantined (rendered as ``-`` in the matrix),
+    and a killed sweep resumes from the journal.
     """
     scheme_list = [Scheme.parse(s) for s in schemes] if schemes else list(Scheme)
     workload_list = list(workloads) if workloads else list(BENCHMARK_ORDER)
@@ -173,28 +174,26 @@ def lint_sweep(
         for scheme in scheme_list
         for workload in workload_list
     ]
-    if resilience is not None or journal is not None:
-        keys = [
-            f"lint:{scheme.value}:{workload}:t{threads}:s{seed}"
-            f":i{init_ops}:o{sim_ops}"
-            for (scheme, workload, threads, seed, init_ops, sim_ops) in items
-        ]
-        values, quarantined = resilient_map(
-            _lint_task,
-            items,
-            keys,
-            jobs=jobs,
-            config=resilience,
-            journal=journal,
-            encode=_lint_payload,
-            decode=_lint_from_payload,
-            descriptions={
-                key: {"scheme": item[0].value, "workload": item[1]}
-                for key, item in zip(keys, items)
-            },
-        )
-        return LintSweepResult(
-            results=[result for result in values if result is not None],
-            quarantined=quarantined,
-        )
-    return LintSweepResult(results=parallel_map(_lint_task, items, jobs=jobs))
+    keys = [
+        f"lint:{scheme.value}:{workload}:t{threads}:s{seed}"
+        f":i{init_ops}:o{sim_ops}"
+        for (scheme, workload, threads, seed, init_ops, sim_ops) in items
+    ]
+    values, quarantined = resilient_map(
+        _lint_task,
+        items,
+        keys,
+        jobs=jobs,
+        config=resilience,
+        journal=journal,
+        encode=_lint_payload,
+        decode=_lint_from_payload,
+        descriptions={
+            key: {"scheme": item[0].value, "workload": item[1]}
+            for key, item in zip(keys, items)
+        },
+    )
+    return LintSweepResult(
+        results=[result for result in values if result is not None],
+        quarantined=quarantined,
+    )

@@ -3,10 +3,11 @@
 The crash-state analog of :mod:`repro.analysis.lintsweep`: every
 failure-safe scheme's lowering of every bundled workload is walked by
 the model checker (:mod:`repro.verify`), and the matrix must come back
-with zero counterexamples.  Cells inherit the parallel-sweep machinery —
-process fan-out, write-ahead journaling, self-healing workers — so a
-long budgeted sweep survives crashes and resumes without re-checking
-finished cells.
+with zero counterexamples.  Cells run through the sweep executor,
+:func:`~repro.parallel.resilience.resilient_map` — process fan-out, and
+with a journal or resilience config write-ahead journaling and
+self-healing workers — so a long budgeted sweep survives crashes and
+resumes without re-checking finished cells.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.parallel.resilience import (
     ResilienceConfig,
     resilient_map,
 )
-from repro.parallel.runner import parallel_map
 from repro.verify.checker import CheckReport, Deviation, Finding, verify_workload
 from repro.workloads import BENCHMARK_ORDER
 
@@ -228,28 +228,26 @@ def verify_sweep(
         for scheme in scheme_list
         for workload in workload_list
     ]
-    if resilience is not None or journal is not None:
-        keys = [
-            f"verify:{scheme.value}:{workload}:t{threads}:s{seed}"
-            f":i{init_ops}:o{sim_ops}:b{budget}"
-            for (scheme, workload, threads, seed, init_ops, sim_ops, budget) in items
-        ]
-        values, quarantined = resilient_map(
-            _verify_task,
-            items,
-            keys,
-            jobs=jobs,
-            config=resilience,
-            journal=journal,
-            encode=_verify_payload,
-            decode=_verify_from_payload,
-            descriptions={
-                key: {"scheme": item[0].value, "workload": item[1]}
-                for key, item in zip(keys, items)
-            },
-        )
-        return VerifySweepResult(
-            results=[report for report in values if report is not None],
-            quarantined=quarantined,
-        )
-    return VerifySweepResult(results=parallel_map(_verify_task, items, jobs=jobs))
+    keys = [
+        f"verify:{scheme.value}:{workload}:t{threads}:s{seed}"
+        f":i{init_ops}:o{sim_ops}:b{budget}"
+        for (scheme, workload, threads, seed, init_ops, sim_ops, budget) in items
+    ]
+    values, quarantined = resilient_map(
+        _verify_task,
+        items,
+        keys,
+        jobs=jobs,
+        config=resilience,
+        journal=journal,
+        encode=_verify_payload,
+        decode=_verify_from_payload,
+        descriptions={
+            key: {"scheme": item[0].value, "workload": item[1]}
+            for key, item in zip(keys, items)
+        },
+    )
+    return VerifySweepResult(
+        results=[report for report in values if report is not None],
+        quarantined=quarantined,
+    )

@@ -2,19 +2,23 @@
 
 The repo's scaling layer: every evaluation sweep enumerates its cells as
 picklable :class:`CellSpec` records and hands them to a
-:class:`SweepRunner`, which fans them out over a process pool and backs
-them with an on-disk :class:`ResultCache` keyed by a stable content hash
-of (machine configuration, scheme, workload trace identity, code
-version).  Unchanged cells load instead of re-simulating; results are
+:class:`SweepRunner`, which backs them with an on-disk
+:class:`ResultCache` keyed by a stable content hash of (machine
+configuration, scheme, workload trace identity, code version).
+Unchanged cells load instead of re-simulating; results are
 byte-identical either way.  See ``docs/architecture.md`` ("Parallel
 sweep runner") for the design and determinism guarantees.
 
-Crash safety rides on three further pieces (``docs/resilience.md``): the
-write-ahead :class:`SweepJournal` makes any campaign resumable after a
-kill at any instant, :func:`run_resilient` heals crashed/stuck workers
-and quarantines poison cells instead of aborting, and
-:mod:`repro.parallel.chaos` is the seeded fault-injection harness that
-proves both under deliberately hostile conditions.
+:func:`run_resilient` is the one executor: runner cells and the lint,
+verify and profile sweeps all run through it, inline at ``jobs=1`` and
+over its process pool otherwise.  Without a :class:`ResilienceConfig` or
+a journal it fails fast on the first failing task.  Crash safety rides
+on three further pieces (``docs/resilience.md``): the write-ahead
+:class:`SweepJournal` makes any campaign resumable after a kill at any
+instant, :func:`run_resilient` given a config or journal heals
+crashed/stuck workers and quarantines poison cells instead of aborting,
+and :mod:`repro.parallel.chaos` is the seeded fault-injection harness
+that proves both under deliberately hostile conditions.
 """
 
 from repro.parallel.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
@@ -59,7 +63,6 @@ from repro.parallel.runner import (
     execute_cell,
     generate_traces_cached,
     get_default_runner,
-    parallel_map,
     set_default_runner,
     traces_for,
 )
@@ -93,7 +96,6 @@ __all__ = [
     "generate_traces_cached",
     "get_default_runner",
     "last_run_report",
-    "parallel_map",
     "payload_to_result",
     "repo_code_version",
     "resilient_map",

@@ -17,8 +17,8 @@ from repro.parallel import (
     canonical_json,
     config_from_dict,
     config_to_dict,
-    parallel_map,
     payload_to_result,
+    resilient_map,
     result_bytes,
     result_to_payload,
 )
@@ -132,7 +132,10 @@ def _square(value):
     return value * value
 
 
-def test_parallel_map_preserves_order():
+def test_resilient_map_preserves_order():
     items = list(range(7))
-    assert parallel_map(_square, items, jobs=1) == [v * v for v in items]
-    assert parallel_map(_square, items, jobs=2) == [v * v for v in items]
+    keys = [f"k{v}" for v in items]
+    for jobs in (1, 2):
+        values, quarantined = resilient_map(_square, items, keys, jobs=jobs)
+        assert values == [v * v for v in items]
+        assert quarantined == []

@@ -11,6 +11,8 @@ import random
 import signal
 import time
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.parallel.journal import SweepJournal
@@ -106,13 +108,33 @@ def test_exhausted_task_is_quarantined_with_traceback(tmp_path):
 
 
 def test_quarantine_disabled_raises(tmp_path):
-    config = ResilienceConfig(max_retries=0, **FAST)
+    # Neither a config nor a journal: the batch fails fast.
     with pytest.raises(SweepExecutionError) as excinfo:
-        run_resilient(
-            _always_fail, [("bad", {"value": 1})], jobs=1, config=config,
-            quarantine=False,
-        )
+        run_resilient(_always_fail, [("bad", {"value": 1})], jobs=1)
     assert excinfo.value.record.key == "bad"
+
+
+def _count_then_fail(item):
+    with open(item["counter"], "a") as handle:
+        handle.write("x")
+    raise RuntimeError(f"cell {item['value']} is poison")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fail_fast_runs_a_failing_task_once(tmp_path, jobs):
+    counter = tmp_path / "count"
+    tasks = [("bad", {"value": 1, "counter": str(counter)})]
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_resilient(_count_then_fail, tasks, jobs=jobs)
+    assert counter.read_text() == "x"
+    assert str(excinfo.value.__cause__) == "cell 1 is poison"
+    assert "cell 1 is poison" in str(excinfo.value)
+
+
+def test_fail_fast_pool_raises_on_a_worker_crash(tmp_path):
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_resilient(_kill_once, _tasks(2, tmp_path, tag="k"), jobs=2)
+    assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
 
 
 def test_worker_sigkill_rebuilds_pool_and_completes(tmp_path):
