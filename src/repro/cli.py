@@ -187,23 +187,6 @@ def _open_journal(args, default_name: str):
     return SweepJournal(path, label=default_name)
 
 
-def _resilience_config(args):
-    """Build a ResilienceConfig from ``--cell-timeout``/``--max-retries``."""
-    from repro.parallel.resilience import ResilienceConfig
-
-    cell_timeout = getattr(args, "cell_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    if cell_timeout is None and max_retries is None:
-        return None
-    defaults = ResilienceConfig()
-    return ResilienceConfig(
-        cell_timeout=cell_timeout,
-        max_retries=(
-            max_retries if max_retries is not None else defaults.max_retries
-        ),
-    )
-
-
 def _print_quarantine(notes: List[str]) -> None:
     if notes:
         print("quarantined cells (results are PARTIAL):", file=sys.stderr)
@@ -448,6 +431,7 @@ def cmd_snapshot(args) -> int:
 def cmd_lint(args) -> int:
     from repro.analysis.lintsweep import lint_sweep
     from repro.lint import render_json, render_text, rule_catalog
+    from repro.parallel.resilience import ResilienceConfig
     from repro.workloads import BENCHMARK_ORDER
 
     if args.rules:
@@ -470,7 +454,9 @@ def cmd_lint(args) -> int:
             init_ops=args.init,
             sim_ops=args.ops,
             jobs=args.jobs,
-            resilience=_resilience_config(args),
+            resilience=ResilienceConfig.from_options(
+                args.cell_timeout, args.max_retries
+            ),
             journal=journal,
         )
     finally:
@@ -494,6 +480,7 @@ def cmd_lint(args) -> int:
 
 def cmd_verify(args) -> int:
     from repro.analysis.verifysweep import verifiable_schemes, verify_sweep
+    from repro.parallel.resilience import ResilienceConfig
     from repro.verify import render_json, render_text, verify_to_sarif
     from repro.verify.report import VERIFY_RULES
     from repro.workloads import BENCHMARK_ORDER
@@ -539,7 +526,9 @@ def cmd_verify(args) -> int:
             sim_ops=args.ops,
             budget=args.budget,
             jobs=args.jobs,
-            resilience=_resilience_config(args),
+            resilience=ResilienceConfig.from_options(
+                args.cell_timeout, args.max_retries
+            ),
             journal=journal,
         )
     finally:
@@ -698,6 +687,7 @@ def cmd_trace(args) -> int:
 def cmd_profile(args) -> int:
     from repro.analysis.profiling import DEFAULT_PROFILE_SCALE, profile_sweep
     from repro.faults.campaign import resolve_workload
+    from repro.parallel.resilience import ResilienceConfig
 
     schemes = None if args.scheme == "all" else [Scheme.parse(args.scheme)]
     if args.benchmark == "all":
@@ -713,7 +703,9 @@ def cmd_profile(args) -> int:
             scale=DEFAULT_PROFILE_SCALE if args.scale is None else args.scale,
             seed=args.seed,
             jobs=args.jobs,
-            resilience=_resilience_config(args),
+            resilience=ResilienceConfig.from_options(
+                args.cell_timeout, args.max_retries
+            ),
             journal=journal,
         )
     finally:
