@@ -327,6 +327,7 @@ def compare_sampling(threads: int, seed: int) -> dict:
     """
     from repro.core.schemes import Scheme
     from repro.parallel.cellspec import CellSpec
+    from repro.parallel.runner import execute_cell
     from repro.sim.config import fast_nvm_config
     from repro.snapshot import SamplingParams, run_sampled
 
@@ -343,7 +344,7 @@ def compare_sampling(threads: int, seed: int) -> dict:
             sim_ops=600,
         )
         start = time.perf_counter()
-        full = cell.simulate()
+        full = execute_cell(cell)
         full_s = time.perf_counter() - start
 
         start = time.perf_counter()

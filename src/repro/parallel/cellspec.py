@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.core.schemes import Scheme
-from repro.isa.trace import OpTrace
 from repro.sim.config import (
     AtomConfig,
     CacheConfig,
@@ -40,10 +39,10 @@ from repro.sim.config import (
     ProteusConfig,
     SystemConfig,
 )
-from repro.sim.simulator import SimResult, run_trace
+from repro.sim.simulator import SimResult
 from repro.sim.stats import Stats
 from repro.workloads import WORKLOADS
-from repro.workloads.base import Workload, generate_traces
+from repro.workloads.base import Workload
 from repro.workloads.linkedlist_wl import LinkedListWorkload
 
 #: Bump when the cached payload layout changes; old entries become misses.
@@ -105,28 +104,6 @@ class CellSpec:
             code_version if code_version is not None else repo_code_version()
         )
         return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-    # -- execution --------------------------------------------------------
-
-    def generate_traces(self) -> List[OpTrace]:
-        """Regenerate this cell's per-thread op traces (pure, seeded)."""
-        return generate_traces(
-            SWEEP_WORKLOADS[self.workload],
-            threads=self.threads,
-            seed=self.seed,
-            init_ops=self.init_ops,
-            sim_ops=self.sim_ops,
-            **dict(self.workload_kwargs),
-        )
-
-    def simulate(self) -> SimResult:
-        """Run this cell in the current process (fresh machine + stats)."""
-        return run_trace(
-            self.generate_traces(),
-            self.scheme,
-            self.config,
-            max_cycles=self.max_cycles,
-        )
 
     # -- (de)serialization -------------------------------------------------
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.parallel.cellspec import CellSpec
+from repro.parallel.runner import execute_cell
 from repro.sim.config import fast_nvm_config
 from repro.snapshot import (
     SampleReport,
@@ -142,7 +143,7 @@ def test_report_refuses_wide_intervals():
 @pytest.mark.parametrize("workload", ["QE", "HM"])
 def test_sampled_matches_full_run(workload):
     cell = cell_for(workload)
-    full = cell.simulate()
+    full = execute_cell(cell)
     report = run_sampled(cell, PARAMS, strict=False)
 
     full_ipc = full.stats.counters["retired_instructions"] / full.cycles
