@@ -49,9 +49,12 @@ def _enumerated_images(scheme_name: str, trace):
     scheme = Scheme.parse(scheme_name)
     op_trace = clean_op_trace()
     lowered, layout = lower_for_lint(op_trace, scheme)
-    ir = build_ir(trace, scheme)
+    profile = profile_for(scheme)
+    ir = build_ir(trace, tx_marks=profile.tx_marks)
     candidates = derive_candidates(ir, layout, op_trace.initial_image)
-    state = StreamState(scheme, profile_for(scheme), layout, op_trace.initial_image)
+    # The initial image alone would leave no committed state to compare.
+    assert len(candidates) > 1
+    state = StreamState(scheme, profile, layout, op_trace.initial_image)
     images = []
     for index, instr in enumerate(trace):
         state.apply(index, instr)
