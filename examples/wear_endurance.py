@@ -14,7 +14,7 @@ Usage::
 
 import argparse
 
-from repro import BASELINE, Scheme, fast_nvm_config, run_trace
+from repro import Scheme, fast_nvm_config, run_trace
 from repro.workloads import WORKLOADS
 from repro.workloads.base import generate_traces
 
@@ -65,26 +65,6 @@ def main() -> None:
         results[Scheme.PROTEUS].stats.get("lpq.sticky_dropped")
     print(f"Log write removal flash-cleared {dropped:,} log entries that "
           f"never reached the NVM array.")
-
-    # Wear-leveling perspective: hammer the log area and show Start-Gap
-    # spreading the writes across frames.
-    from repro.mem.endurance import EnduranceTracker, StartGap
-
-    print("\nStart-Gap wear leveling on a 64-line log area "
-          "(10,000 writes to one hot line):")
-    raw = EnduranceTracker()
-    leveled = StartGap(0x100000, num_lines=64, gap_interval=16)
-    for _ in range(10000):
-        raw.record(0x100000)
-        leveled.record_write(0x100000)
-    raw_summary, leveled_summary = raw.summary(), leveled.summary()
-    for label, summary in (("unleveled", raw_summary),
-                           ("start-gap", leveled_summary)):
-        print(f"  {label:>10s}: hottest line {summary.max_line_writes:,} writes, "
-              f"{summary.lines_touched} lines touched")
-    gain = raw_summary.max_line_writes / leveled_summary.max_line_writes
-    print(f"  device lifetime is set by the hottest line: "
-          f"Start-Gap extends it ~{gain:.0f}x here.")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ Subcommands:
 * ``run`` — simulate one benchmark under one scheme and print stats.
 * ``compare`` — run every scheme on one benchmark (mini Figure 6/8).
 * ``experiment`` — regenerate one of the paper's figures/tables.
-* ``crash`` — crash-inject the *functional* model and verify recovery.
 * ``faults`` — crash the *timing* simulator mid-flight (seeded campaign
   over cycle/trigger crash points, optionally with injected memory
   faults) and verify recovery from real microarchitectural state.
 * ``lint`` — statically verify the persistency-ordering contract of the
   lowered instruction streams (``persist-lint``); exits nonzero on any
   error-severity diagnostic.
+* ``verify`` — model-check every crash state the lowered instruction
+  streams can reach (``persist-verify``): recovery must land on a
+  transaction boundary; ``--budget`` samples and reports coverage.
 * ``trace`` — run one benchmark with the cycle-level tracer attached and
   export a Chrome-trace JSON (Perfetto-loadable) plus a versioned
   summary with per-transaction critical-path attribution.
@@ -43,10 +45,10 @@ Examples::
     python -m repro experiment fig11 --jobs 4 --cache-dir .repro-cache
     python -m repro experiment fig6 --jobs 4 --journal fig6.jsonl --resume
     python -m repro chaos --rounds 2 --jobs 2 --driver-kill
-    python -m repro crash --benchmark HM --crashes 100 --scheme ATOM
     python -m repro faults --scheme proteus --workload btree --crashes 200 --seed 7
     python -m repro lint --scheme all --workload all
     python -m repro lint --scheme pmem --workload btree --json
+    python -m repro verify --scheme proteus --workload queue
     python -m repro trace --scheme proteus --workload hashmap --out trace.json
     python -m repro profile --scheme all --workload all --scale 0.1
     python -m repro snapshot create --workload QE --offset 20 --out qe.ckpt.json
@@ -65,7 +67,6 @@ exits with status 2 and the list of valid choices.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import List, Optional
 
@@ -233,41 +234,6 @@ def cmd_experiment(args) -> int:
     finally:
         if journal is not None:
             journal.close()
-
-
-def cmd_crash(args) -> int:
-    from repro.persistence import build_functional_txs, crash_image, image_after, recover
-    from repro.persistence.crash import CrashPoint, Phase
-    from repro.persistence.recovery import verify_atomicity
-
-    scheme = Scheme.parse(args.scheme)
-    if not scheme.failure_safe:
-        print(f"{scheme} is not failure safe; nothing to verify", file=sys.stderr)
-        return 2
-    workload = _workload_cls(args)(
-        thread_id=0, seed=args.seed, init_ops=args.init, sim_ops=args.ops
-    )
-    trace = workload.generate()
-    initial, txs = build_functional_txs(trace, scheme)
-    candidates = [image_after(initial, txs, k) for k in range(len(txs) + 1)]
-    rng = random.Random(args.seed)
-    phases = [Phase.BEFORE, Phase.IN_FLIGHT, Phase.FLUSHED, Phase.COMMITTED]
-    if scheme.is_software:
-        phases += [Phase.LOGGING, Phase.FLAGGED]
-    for index in range(args.crashes):
-        k = rng.randrange(len(txs))
-        phase = rng.choice(phases)
-        data = None
-        if phase is Phase.IN_FLIGHT and scheme.is_software:
-            n = len(txs[k].written_lines)
-            data = frozenset(i for i in range(n) if rng.random() < 0.5)
-        image = crash_image(initial, txs, scheme,
-                            CrashPoint(k, phase, data_durable=data))
-        recovered = recover(image)
-        verify_atomicity(recovered, candidates)
-    print(f"{args.crashes} random crashes under {scheme}: "
-          f"all recovered to a transaction boundary")
-    return 0
 
 
 def cmd_faults(args) -> int:
@@ -800,12 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_resilience_args(experiment_parser, what="sweep cells")
     experiment_parser.set_defaults(func=cmd_experiment)
-
-    crash_parser = subparsers.add_parser("crash", help="crash/recovery check")
-    _add_workload_args(crash_parser)
-    crash_parser.add_argument("--scheme", default="Proteus")
-    crash_parser.add_argument("--crashes", type=int, default=100)
-    crash_parser.set_defaults(func=cmd_crash)
 
     faults_parser = subparsers.add_parser(
         "faults",

@@ -12,7 +12,6 @@ an exception; here that is :class:`LogAreaOverflow`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 #: Size of one log entry in bytes (data + metadata fit one cache line).
@@ -21,17 +20,6 @@ LOG_ENTRY_BYTES = 64
 
 class LogAreaOverflow(RuntimeError):
     """Raised when a single transaction wraps the whole circular log."""
-
-
-@dataclass
-class LogEntryRecord:
-    """Functional record of one log entry, used by recovery and tests."""
-
-    log_to: int
-    log_from: int
-    txid: int
-    data: Optional[int] = None
-    tx_last: bool = False
 
 
 class LogArea:

@@ -1,8 +1,8 @@
 """Cycle-level fault injection for the timing simulator.
 
-The :mod:`repro.persistence` package enumerates *abstract* durable
-subsets over functional traces; this package crashes the *real* timing
-machine instead.  A seeded :class:`FaultPlan` kills the simulation at an
+persist-verify (:mod:`repro.verify`) enumerates every crash state the
+lowered instruction stream permits; this package crashes the *real*
+timing machine instead.  A seeded :class:`FaultPlan` kills the simulation at an
 arbitrary cycle or at a named microarchitectural trigger (Nth WPQ drain,
 LPQ flash clear, LLT eviction, fence retirement) and can additionally
 inject memory-system faults — dropped or reordered WPQ drains, torn

@@ -145,10 +145,6 @@ class Instruction:
         """Cache-line base address of this access."""
         return cache_line_of(self.addr)
 
-    def log_block(self) -> int:
-        """32 B logging-block base address of this access."""
-        return log_block_of(self.addr)
-
 
 def alu(latency: int = 1, tag: str = "") -> Instruction:
     """A generic computation instruction with the given latency."""

@@ -2,7 +2,6 @@
 NVM/DRAM device bank model."""
 
 from repro.mem.cache import Cache, CacheLine
-from repro.mem.endurance import EnduranceTracker, StartGap, attach_tracker
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.memctrl import MemoryController
 from repro.mem.nvm import NvmDevice, NvmRequest
@@ -12,11 +11,8 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "CacheLine",
-    "EnduranceTracker",
     "MemoryController",
     "NvmDevice",
     "NvmRequest",
     "PendingQueue",
-    "StartGap",
-    "attach_tracker",
 ]

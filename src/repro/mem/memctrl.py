@@ -217,10 +217,6 @@ class MemoryController:
 
     # -- direct device access (ATOM truncation scan) ----------------------------
 
-    def device_write(self, addr: int, category: str, callback: Optional[Callable[[], None]] = None) -> None:
-        """Write that bypasses the WPQ (used for truncation traffic)."""
-        self.device.submit(NvmRequest(addr & ~63, is_write=True, category=category, callback=callback))
-
     def device_read(self, addr: int, callback: Optional[Callable[[], None]] = None) -> None:
         """Read that bypasses forwarding (log-area scan)."""
         self.device.submit(NvmRequest(addr & ~63, is_write=False, callback=callback))
@@ -417,7 +413,3 @@ class MemoryController:
             waiters, self._drain_waiters = self._drain_waiters, []
             for callback in waiters:
                 callback()
-
-    def check_drain_waiters(self) -> None:
-        """Re-evaluate pcommit waiters (also called after WPQ pops)."""
-        self._check_drained()

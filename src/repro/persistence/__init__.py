@@ -1,20 +1,21 @@
-"""Functional persistence model: crash injection and recovery.
+"""Functional persistence model: crash images and recovery.
 
 The timing simulator (:mod:`repro.sim`) answers *how fast*; this package
-answers *is it correct*.  It replays the same workload traces through a
-word-granular functional model of the persistency domain, lets a test
-crash the machine at any transaction phase with any writeback
-interleaving the scheme's ordering rules permit, runs the scheme's
-recovery procedure, and checks transaction atomicity: the recovered
-image must equal the image after some whole number of committed
-transactions.
+holds what every correctness check shares.  It replays workload traces
+through a word-granular functional model of the persistency domain,
+builds the durable :class:`CrashImage` a crash leaves behind, runs the
+scheme's recovery procedure, and checks transaction atomicity: the
+recovered image must equal the image after some whole number of
+committed transactions (:func:`check_recovery`).
 
-The nondeterministic choices (which log entries and which data lines
-were durable at the crash) are explicit parameters, which makes the
-model ideal for property-based testing with hypothesis.
+Two checkers build the images: the fault campaign
+(:mod:`repro.faults`) from the timing machine's real durability events,
+and persist-verify (:mod:`repro.verify`) from every crash frontier of a
+lowered stream.  :func:`crash_image` builds one from an abstract
+:class:`CrashPoint` (a transaction, a :class:`Phase` and the durable
+log and data subsets); its explicit choices suit property-based tests.
 """
 
-from repro.persistence.checker import CheckResult, check_trace, check_workload
 from repro.persistence.crash import (
     CrashImage,
     CrashPoint,
@@ -39,7 +40,6 @@ from repro.persistence.recovery import (
 )
 
 __all__ = [
-    "CheckResult",
     "CrashImage",
     "CrashPoint",
     "FunctionalTx",
@@ -50,8 +50,6 @@ __all__ = [
     "RecoveryVerdict",
     "check_recovery",
     "build_functional_txs",
-    "check_trace",
-    "check_workload",
     "crash_image",
     "image_after",
     "images_equal",

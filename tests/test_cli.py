@@ -45,13 +45,6 @@ def test_experiment_subcommand(capsys):
     assert "paper" in out
 
 
-def test_crash_subcommand(capsys):
-    code = main(["crash", "--benchmark", "QE", "--ops", "6", "--init", "24",
-                 "--crashes", "20", "--scheme", "Proteus"])
-    assert code == 0
-    assert "transaction boundary" in capsys.readouterr().out
-
-
 def test_unknown_scheme_rejected(capsys):
     code = main(["run", "--scheme", "NotAScheme", "--ops", "2", "--init", "8"])
     assert code == 2

@@ -12,9 +12,12 @@ Three claims, each tied to an acceptance criterion of the checker:
   honest coverage and agree with the exhaustive verdict on the corpus.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.isa.instructions import Kind
 from repro.lint import lint_instruction_trace
 from repro.lint.runner import layout_for_thread, lower_for_lint
 from repro.verify import (
@@ -54,6 +57,33 @@ def test_clean_streams_verify_clean(scheme):
     assert report.coverage == 1.0
     assert report.positions > 0
     assert report.frontiers_checked > 0
+    if scheme.is_sshl:
+        # Some block is logged twice in one transaction, so the clean
+        # verdict covers recovery's earliest-entry-wins rule.
+        lowered, _ = lower_for_lint(op_trace, scheme)
+        flushes = Counter(
+            (instr.txid, instr.addr)
+            for instr in lowered
+            if instr.kind is Kind.LOG_FLUSH
+        )
+        assert max(flushes.values()) > 1
+
+
+@pytest.mark.parametrize(
+    "scheme", (Scheme.PMEM, Scheme.ATOM, Scheme.PROTEUS), ids=str
+)
+def test_broken_recovery_is_counterexampled(monkeypatch, scheme):
+    """Recovery that undoes nothing must leave some crash state off every
+    transaction boundary: the checker really runs the recovery
+    predicate, and a broken protocol fails it."""
+    import repro.persistence.recovery as recovery_mod
+
+    def broken_recover(image):
+        return dict(image.durable)  # "recovery" that undoes nothing
+
+    monkeypatch.setattr(recovery_mod, "recover", broken_recover)
+    report = verify_op_traces([clean_op_trace()], scheme)
+    assert "V001" in {finding.rule for finding in report.findings}
 
 
 @pytest.mark.parametrize("case", VERIFY_CORPUS, ids=lambda c: c.name)
