@@ -15,7 +15,6 @@ from repro.core.schemes import Scheme
 from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint.diagnostics import LintResult
 from repro.lint.engine import Analyzer
-from repro.lint.ir import build_ir
 from repro.lint.profiles import profile_for
 from repro.workloads.heap import ThreadAddressSpace
 
@@ -46,8 +45,7 @@ def lint_instruction_trace(
     profile = profile_for(scheme)
     if layout is None:
         layout = layout_for_thread(trace.thread_id)
-    ir = build_ir(trace, tx_marks=profile.tx_marks)
-    analyzer = Analyzer(ir, profile, layout, thread_id=trace.thread_id)
+    analyzer = Analyzer(trace, profile, layout, thread_id=trace.thread_id)
     result = LintResult(
         scheme=scheme,
         workload=workload,
