@@ -103,6 +103,26 @@ class ThreadLayout:
             raise ValueError("logFlag must not live inside the software log area")
 
 
+#: Regions of one thread's address-space slice, as :func:`region_of`
+#: names them (persist-verify's reports print these names).
+REGION_DATA = "data"
+REGION_SWLOG = "swlog"
+REGION_HWLOG = "hwlog"
+REGION_FLAG = "flag"
+
+
+def region_of(addr: int, layout: ThreadLayout) -> str:
+    """Region of ``addr`` within the thread's slice."""
+    line = addr & ~(CACHE_LINE - 1)
+    if line == layout.logflag_addr & ~(CACHE_LINE - 1):
+        return REGION_FLAG
+    if layout.sw_log_base <= addr < layout.sw_log_base + layout.sw_log_size:
+        return REGION_SWLOG
+    if layout.hw_log_base <= addr < layout.hw_log_base + layout.hw_log_size:
+        return REGION_HWLOG
+    return REGION_DATA
+
+
 class CodeGenerator:
     """Lowers one thread's OpTrace for one scheme."""
 

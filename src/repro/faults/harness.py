@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.codegen import REGION_DATA, REGION_FLAG, REGION_HWLOG, REGION_SWLOG
 from repro.core.schemes import Scheme
 from repro.isa.instructions import CACHE_LINE, FENCE_KINDS
 from repro.isa.trace import OpTrace
@@ -126,12 +127,12 @@ class FaultInjector:
             return False
         _, region = located
         plan = self.plan
-        if region in ("swlog", "hwlog"):
+        if region in (REGION_SWLOG, REGION_HWLOG):
             self.log_admissions += 1
             if plan.drop_log_every and self.log_admissions % plan.drop_log_every == 0:
                 self.tracker.on_admission_dropped(entry, region)
                 return True
-        elif region == "flag":
+        elif region == REGION_FLAG:
             self.flag_admissions += 1
             if plan.drop_flag_every and self.flag_admissions % plan.drop_flag_every == 0:
                 self.tracker.on_admission_dropped(entry, region)
@@ -147,7 +148,7 @@ class FaultInjector:
             queue_name != "wpq"
             or entry.category != "data"
             or located is None
-            or located[1] != "data"
+            or located[1] != REGION_DATA
         ):
             return "ok"
         self.data_drains += 1

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.codegen import SW_LOG_BYTES_PER_LINE
+from repro.core.codegen import REGION_DATA, REGION_SWLOG, SW_LOG_BYTES_PER_LINE
 from repro.isa.instructions import CACHE_LINE
 from repro.persistence.crash import CrashImage
 from repro.persistence.model import WORD, LogEntry
-from repro.verify.model import REGION_DATA, REGION_SWLOG, LineHistory, StreamState
+from repro.verify.model import LineHistory, StreamState
 
 
 @dataclass(frozen=True)

@@ -29,18 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.codegen import ThreadLayout
+from repro.core.codegen import REGION_DATA, ThreadLayout, region_of
 from repro.core.schemes import Scheme
 from repro.isa.instructions import CACHE_LINE, Instruction, Kind
 from repro.lint.ir import LintIR
 from repro.lint.profiles import Profile
 from repro.persistence.model import WORD, LogEntry
-
-#: Regions of one thread's address-space slice.
-REGION_DATA = "data"
-REGION_SWLOG = "swlog"
-REGION_HWLOG = "hwlog"
-REGION_FLAG = "flag"
 
 #: Instruction kinds after which the reachable crash-state set changes.
 INTERESTING_KINDS = frozenset(
@@ -56,18 +50,6 @@ INTERESTING_KINDS = frozenset(
         Kind.LOG_FLUSH,
     }
 )
-
-
-def region_of(addr: int, layout: ThreadLayout) -> str:
-    """Region of ``addr`` within the thread's slice."""
-    line = addr & ~(CACHE_LINE - 1)
-    if line == layout.logflag_addr & ~(CACHE_LINE - 1):
-        return REGION_FLAG
-    if layout.sw_log_base <= addr < layout.sw_log_base + layout.sw_log_size:
-        return REGION_SWLOG
-    if layout.hw_log_base <= addr < layout.hw_log_base + layout.hw_log_size:
-        return REGION_HWLOG
-    return REGION_DATA
 
 
 def _line_of(addr: int) -> int:
