@@ -9,7 +9,7 @@ hierarchy, which knows the per-level latencies.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.config import CacheConfig
 from repro.sim.stats import Stats
@@ -81,6 +81,86 @@ class Cache:
                 self.stats.add(self._dirty_evictions)
         cache_set[line_addr] = CacheLine(line_addr, dirty)
         return victim
+
+    def fill_clean(self, lines: Sequence[int]) -> Tuple[int, int]:
+        """Fill ``lines`` in order as clean lines, leaving the state that
+        one :meth:`fill` per line would, without touching :class:`Stats`.
+
+        Returns the number of evictions and the index of the first fill
+        that evicted (-1 when none did).  A dirty victim would need a
+        write-back, which is the hierarchy's job, so this raises
+        ``ValueError`` instead of evicting one.
+
+        A line-aligned ``range`` at least as long as the capacity, with
+        none of its lines resident, hands every set at least ``ways`` new
+        lines: every resident line is evicted, and only the range's last
+        ``sets * ways`` lines survive, so only those are built.
+        """
+        num_sets, ways, line_bytes = self._num_sets, self._ways, self._line_bytes
+        sets = self.sets
+        if (
+            isinstance(lines, range)
+            and lines.step == line_bytes
+            and lines.start % line_bytes == 0
+            and len(lines) >= num_sets * ways
+            and not any(addr in lines for cache_set in sets for addr in cache_set)
+        ):
+            return self._fill_sweep(lines)
+        evictions = 0
+        first = -1
+        for index, line_addr in enumerate(lines):
+            cache_set = sets[(line_addr // line_bytes) % num_sets]
+            if line_addr in cache_set:
+                cache_set.move_to_end(line_addr)
+                continue
+            if len(cache_set) >= ways:
+                victim = next(iter(cache_set.values()))
+                if victim.dirty:
+                    raise self._dirty_victim(victim)
+                del cache_set[victim.addr]
+                if not evictions:
+                    first = index
+                evictions += 1
+            cache_set[line_addr] = CacheLine(line_addr)
+        return evictions, first
+
+    def _fill_sweep(self, lines: range) -> Tuple[int, int]:
+        """:meth:`fill_clean` of a range that overwrites every set.
+
+        Consecutive lines map to consecutive sets, so set ``s`` receives
+        its ``j``-th fill at index ``offset + j * sets``, where ``offset``
+        is how far ``s`` lies past the range's first set.  A set holding
+        ``k`` lines first evicts at its ``(ways - k)``-th fill.
+        """
+        num_sets, ways, line_bytes = self._num_sets, self._ways, self._line_bytes
+        sets = self.sets
+        count = len(lines)
+        survivors = num_sets * ways
+        start_set = (lines.start // line_bytes) % num_sets
+        evictions = count - survivors
+        first = -1
+        for index, cache_set in enumerate(sets):
+            for victim in cache_set.values():
+                if victim.dirty:
+                    raise self._dirty_victim(victim)
+            resident = len(cache_set)
+            offset = (index - start_set) % num_sets
+            fills = count // num_sets + (offset < count % num_sets)
+            if resident + fills > ways:
+                at = offset + (ways - resident) * num_sets
+                if first < 0 or at < first:
+                    first = at
+            evictions += resident
+        for cache_set in sets:
+            cache_set.clear()
+        for line_addr in lines[count - survivors :]:
+            sets[(line_addr // line_bytes) % num_sets][line_addr] = CacheLine(line_addr)
+        return evictions, first
+
+    def _dirty_victim(self, victim: CacheLine) -> ValueError:
+        return ValueError(
+            f"{self.name}: a clean fill would evict dirty line {victim.addr:#x}"
+        )
 
     def mark_dirty(self, line_addr: int) -> bool:
         """Set the dirty bit on a resident line; True when it was resident."""

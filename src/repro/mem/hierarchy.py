@@ -15,7 +15,7 @@ coherence protocol (noted in DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.mem.cache import Cache, CacheLine
 from repro.mem.memctrl import MemoryController
@@ -76,10 +76,30 @@ class CacheHierarchy:
         victim1 = self.l1[core].fill(line_addr, dirty=dirty)
         self._handle_victim(victim1, self.l2[core], core)
 
-    def warm(self, core: int, line_addr: int) -> None:
-        """Install a clean line functionally (no cycles) — warmup replay
-        of the initialization phase's footprint."""
-        self._install(core, line_addr & ~63, dirty=False)
+    def warm(self, core: int, lines: Iterable[int]) -> None:
+        """Install a footprint of clean lines functionally (no cycles) —
+        warmup replay of the initialization phase's footprint.
+
+        Leaves the caches and counters that ``_install(core, addr & ~63,
+        dirty=False)`` per address, in order, would leave.  A clean fill
+        cascades nothing, so each level replays the whole sequence on its
+        own (:meth:`Cache.fill_clean`), which raises ``ValueError`` rather
+        than evict a dirty line.
+        """
+        if isinstance(lines, range) and lines.step == 64:
+            start = lines.start & ~63
+            lines = range(start, start + 64 * len(lines), 64)
+        else:
+            lines = [addr & ~63 for addr in lines]
+        evicted = []
+        for order, cache in enumerate((self.l3, self.l2[core], self.l1[core])):
+            evictions, first = cache.fill_clean(lines)
+            if evictions:
+                evicted.append((first, order, cache.name, evictions))
+        # Per-line fills create each level's eviction counter at its first
+        # evicting fill, and within one line the L3 fills before L2 and L1.
+        for __, __, name, evictions in sorted(evicted):
+            self.stats.add(f"{name}.evictions", evictions)
 
     # -- checkpoint support ------------------------------------------------
 

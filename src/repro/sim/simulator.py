@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.atom import AtomAdapter
-from repro.core.codegen import CodeGenerator
+from repro.core.codegen import CodeGenerator, ThreadLayout
 from repro.core.log_area import LogArea
 from repro.core.proteus import ProteusAdapter
 from repro.core.schemes import Scheme
@@ -85,10 +85,11 @@ class Simulator:
     ) -> None:
         """Build the machine and lower the given traces.
 
-        ``warm=False`` skips the cache-warming passes (software-log area
-        and per-trace ``warm_lines``) — the snapshot restore path imposes
-        exact cache contents instead.  ``thread_state`` optionally seeds
-        per-thread cursors before lowering, as
+        ``warm=False`` skips :meth:`warm_thread` (each thread's
+        software-log area and per-trace ``warm_lines``) — the snapshot
+        restore path imposes exact cache contents instead.
+        ``thread_state`` optionally seeds per-thread cursors before
+        lowering, as
         ``{thread_id: {"sw_log_cursor": ..., "log_area_cur": ...}}``;
         both keys are optional.  The software-log cursor must be imposed
         *before* lowering because lowering consumes slots.
@@ -158,21 +159,6 @@ class Simulator:
         if self.scheme.is_software:
             self.memctrl.register_log_region(layout.sw_log_base, layout.sw_log_size)
             self.memctrl.register_log_region(layout.logflag_addr, 64)
-            if warm:
-                # The circular software log wraps every few thousand
-                # transactions, so after the init fast-forward it is
-                # cache resident like the rest of the working set.
-                self._warm_lines(
-                    thread_id,
-                    (
-                        *range(
-                            layout.sw_log_base,
-                            layout.sw_log_base + layout.sw_log_size,
-                            64,
-                        ),
-                        layout.logflag_addr,
-                    ),
-                )
 
         adapter = None
         if self.scheme.is_sshl or self.scheme.is_hardware:
@@ -204,7 +190,7 @@ class Simulator:
         if adapter is not None:
             adapter.tracer = self.tracer
         if warm:
-            self._warm_lines(thread_id, op_trace.warm_lines)
+            self.warm_thread(thread_id, layout, op_trace.warm_lines)
 
         core = OooCore(
             core_id=thread_id,
@@ -219,9 +205,20 @@ class Simulator:
         )
         self.cores.append(core)
 
-    def _warm_lines(self, thread_id: int, lines: Iterable[int]) -> None:
-        for line in lines:
-            self.hierarchy.warm(thread_id, line)
+    def warm_thread(
+        self, thread_id: int, layout: ThreadLayout, warm_lines: Iterable[int]
+    ) -> None:
+        """Warm one thread's cache footprint as the init fast-forward
+        leaves it: under a software scheme its circular log and logFlag
+        line, then ``warm_lines``, the lines initialization touched."""
+        if self.scheme.is_software:
+            # The circular software log wraps every few thousand
+            # transactions, so after the init fast-forward it is cache
+            # resident like the rest of the working set.
+            base = layout.sw_log_base
+            self.hierarchy.warm(thread_id, range(base, base + layout.sw_log_size, 64))
+            self.hierarchy.warm(thread_id, (layout.logflag_addr,))
+        self.hierarchy.warm(thread_id, warm_lines)
 
     # -- segmented execution ---------------------------------------------------------
 

@@ -166,6 +166,7 @@ def create_checkpoint(
 
     # Functional fast-forward: advance the workloads, then synthesize a
     # warm machine with computed log cursors.
+    sim = Simulator(cell.config, cell.scheme, [])
     sw_cursors: Dict[int, int] = {}
     hw_cursors: Dict[int, int] = {}
     for workload in workloads:
@@ -183,18 +184,7 @@ def create_checkpoint(
             hw_cursors[thread_id] = (
                 layout.hw_log_base + (slots % capacity) * LOG_ENTRY_BYTES
             )
-    sim = Simulator(cell.config, cell.scheme, [])
-    for workload in workloads:
-        thread_id = workload.thread_id
-        layout = ThreadAddressSpace(thread_id).layout()
-        if cell.scheme.is_software:
-            # Mirror the warm pass _build_core runs for software schemes.
-            base, size = layout.sw_log_base, layout.sw_log_size
-            for line in range(base, base + size, 64):
-                sim.hierarchy.warm(thread_id, line)
-            sim.hierarchy.warm(thread_id, layout.logflag_addr)
-        for line in workload.warm_lines():
-            sim.hierarchy.warm(thread_id, line)
+        sim.warm_thread(thread_id, layout, workload.warm_lines())
     machine = capture_machine(
         sim,
         workload_cursors={

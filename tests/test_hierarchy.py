@@ -45,14 +45,14 @@ def test_miss_then_l1_hit():
 
 def test_warm_installs_clean_line():
     engine, stats, hierarchy = make_hierarchy()
-    hierarchy.warm(0, 0x2000)
+    hierarchy.warm(0, [0x2000])
     assert access_latency(engine, hierarchy, 0x2000) == 4
     assert stats.get("hierarchy.memory_reads") == 0
 
 
 def test_write_marks_dirty_and_flush_writes_back():
     engine, stats, hierarchy = make_hierarchy()
-    hierarchy.warm(0, 0x2000)
+    hierarchy.warm(0, [0x2000])
     access_latency(engine, hierarchy, 0x2000, is_write=True)
     assert hierarchy.probe_dirty(0, 0x2000)
     done = []
@@ -68,7 +68,7 @@ def test_write_marks_dirty_and_flush_writes_back():
 
 def test_clflushopt_invalidates():
     engine, stats, hierarchy = make_hierarchy()
-    hierarchy.warm(0, 0x2000)
+    hierarchy.warm(0, [0x2000])
     access_latency(engine, hierarchy, 0x2000, is_write=True)
     done = []
     hierarchy.flush_line(0, 0x2000, invalidate=True, thread_id=0,
@@ -84,7 +84,7 @@ def test_clflushopt_invalidates():
 
 def test_flush_clean_line_is_cheap_and_writes_nothing():
     engine, stats, hierarchy = make_hierarchy()
-    hierarchy.warm(0, 0x2000)
+    hierarchy.warm(0, [0x2000])
     done = []
     hierarchy.flush_line(0, 0x2000, invalidate=False, thread_id=0,
                          on_durable=lambda: done.append(True))
@@ -119,7 +119,7 @@ def test_store_prefetch_brings_line_in():
 
 def test_private_l1_per_core():
     engine, stats, hierarchy = make_hierarchy(cores=2)
-    hierarchy.warm(0, 0x4000)
+    hierarchy.warm(0, [0x4000])
     assert access_latency(engine, hierarchy, 0x4000, core=0) == 4
     # Core 1 misses its L1/L2 but hits the shared L3.
     latency = access_latency(engine, hierarchy, 0x4000, core=1)
@@ -130,9 +130,9 @@ def test_l2_hit_promotes_to_l1():
     engine, stats, hierarchy = make_hierarchy()
     # Fill the L1 set so the first line falls back to L2 only.
     stride = 8 * 64
-    hierarchy.warm(0, 0x5000)
-    hierarchy.warm(0, 0x5000 + stride)
-    hierarchy.warm(0, 0x5000 + 2 * stride)  # evicts 0x5000 from L1
+    hierarchy.warm(0, [0x5000])
+    hierarchy.warm(0, [0x5000 + stride])
+    hierarchy.warm(0, [0x5000 + 2 * stride])  # evicts 0x5000 from L1
     latency = access_latency(engine, hierarchy, 0x5000)
     assert latency == 12  # L2 hit
     assert access_latency(engine, hierarchy, 0x5000) == 4  # now in L1

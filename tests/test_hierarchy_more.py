@@ -34,8 +34,7 @@ def do_access(engine, hierarchy, addr, is_write=False, core=0):
 def test_warmup_capacity_follows_lru():
     engine, stats, hierarchy = make(l3_kb=4)  # 64-line L3
     lines = [0x100000 + 64 * i for i in range(200)]
-    for line in lines:
-        hierarchy.warm(0, line)
+    hierarchy.warm(0, lines)
     resident = hierarchy.l3.resident_lines()
     capacity = hierarchy.l3.config.sets * hierarchy.l3.config.ways
     assert resident == capacity
@@ -46,8 +45,7 @@ def test_warmup_capacity_follows_lru():
 
 def test_warm_never_writes_back():
     engine, stats, hierarchy = make(l3_kb=4)
-    for i in range(500):
-        hierarchy.warm(0, 0x200000 + 64 * i)
+    hierarchy.warm(0, range(0x200000, 0x200000 + 64 * 500, 64))
     engine.run_until_idle()
     assert stats.nvm_writes() == 0
     assert stats.get("hierarchy.writebacks") == 0

@@ -42,8 +42,7 @@ def build_core(instructions, core_config=None, warm=(), adapter=None):
     )
     mc = MemoryController(engine, config.memory, stats)
     hierarchy = CacheHierarchy(engine, config, mc, stats)
-    for line in warm:
-        hierarchy.warm(0, line)
+    hierarchy.warm(0, warm)
     trace = InstructionTrace(thread_id=0)
     trace.extend(instructions)
     core = OooCore(0, engine, config.core, trace, hierarchy, mc, stats, adapter=adapter)
