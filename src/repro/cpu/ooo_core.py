@@ -10,27 +10,38 @@ semantics, and the scheme adapter's logging rules.
 One :meth:`OooCore.tick` models one cycle: retire → start executions →
 drain the store buffer → dispatch.  The method returns True when the
 core made any progress, which lets the simulator fast-forward the clock
-to the next memory event when every core is stalled.  A core whose ROB
-is full behind an executing head, with nothing left to drain, can only
-count a ``stall.rob``, so its tick does just that until the next
-completion.
+to the next memory event when every core is stalled.  Two stalls only
+count until an event ends them, so the tick does just that: a ROB full
+behind an executing head, with nothing left to drain, counts a
+``stall.rob`` until the next completion (``waiting_on_head``); a
+completed fence held at the head by the store backlog counts a
+``retire_blocked.fence`` (and a ``stall.rob`` while the trace has
+instructions left) until a store or flush is acknowledged or a pcommit
+drains (``waiting_on_fence``).
 
-A core whose ROB holds nothing but a think chain's links can do even
-less: each completion cycle retires one link and dispatches the next,
-and every other cycle counts one ``stall.rob``.  :meth:`OooCore.park`
-takes such a core off the simulator's tick list, and its head
+Most of a lowered stream is think-chain links: latency-2 ALU
+instructions, each ``dep=1`` on the one before, sharing one record.
+Consecutive in-flight links of one record are one ROB entry, a
+:class:`LinkRun`, instead of one :class:`DynInstr` each; ``rob_used``
+counts instructions, not entries.  A live tracer keeps every link a
+:class:`DynInstr`, so its per-instruction trace instants are emitted.
+
+A core whose ROB holds nothing but one run of links can do even less:
+each completion cycle retires one link and dispatches the next, and
+every other cycle counts one ``stall.rob``.  :meth:`OooCore.park`
+takes such a core off the simulator's tick list, and its run's
 completion out of the event heap, until the chain's links have all
-dispatched; :meth:`OooCore.unpark` then rebuilds the ROB, ``dyn_by_seq``,
-pc, ``waiting_on_head``, the pending completion and the counters for
-the cycle at hand, at the window's end or when a halt or an error
-stops the run inside it.
+dispatched; :meth:`OooCore.unpark` then rebuilds the run, pc,
+``waiting_on_head``, the pending completion and the counters for the
+cycle at hand, at the window's end or when a halt or an error stops the
+run inside it.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cpu.adapter import LoggingAdapter, NullAdapter
 from repro.cpu.frontend import Frontend
@@ -87,7 +98,7 @@ class DynInstr:
         self.seq = seq
         self.state = _DISPATCHED
         #: dispatched dependents, started when this instruction completes
-        self.waiters: List[DynInstr] = []
+        self.waiters: List[RobEntry] = []
         self.lr: Optional[int] = None           # Proteus log register index
         self.logq_entry = None                  # Proteus LogQ entry
         self.llt_hit = False                    # Proteus LLT filter hit
@@ -95,6 +106,44 @@ class DynInstr:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<dyn #{self.seq} {self.instr.kind.value} {self.state.name}>"
+
+
+class LinkRun:
+    """Consecutive in-flight links of one record, as one ROB entry.
+
+    A link is an ALU instruction with ``dep=1``, so each link of a run
+    waits on the one before it and at most one executes.  The run holds
+    links ``seq`` to ``seq + count - 1``: the first ``done`` have
+    completed, the next one executes while ``running``, and the rest
+    wait on their predecessor.  ``callback``, built once per run,
+    completes the executing link and starts the next, so each link's
+    completion is still one event.  The run's first link waits in its
+    producer's ``waiters`` like a :class:`DynInstr`, and ``instr.dep``
+    is 1 for it too.
+    """
+
+    __slots__ = ("instr", "seq", "count", "done", "running", "delay", "waiters", "callback")
+
+    def __init__(
+        self, instr: Instruction, seq: int, on_complete: Callable[["LinkRun"], None]
+    ) -> None:
+        self.instr = instr
+        self.seq = seq
+        self.count = 1
+        self.done = 0
+        self.running = False
+        self.delay = max(1, instr.latency)
+        #: dispatched dependents of its links (or of its last link, a
+        #: later run), each started once link ``seq - instr.dep`` of it
+        #: completes
+        self.waiters: List[RobEntry] = []
+        self.callback = partial(on_complete, self)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<run #{self.seq}+{self.count} done={self.done}>"
+
+
+RobEntry = Union[DynInstr, LinkRun]
 
 
 class OooCore:
@@ -123,12 +172,15 @@ class OooCore:
         self.adapter.bind(self)
 
         self.frontend = Frontend(trace, stats, core_id, tracer=self.tracer)
-        self.rob: List[DynInstr] = []
+        #: in program order; the seqs it holds are consecutive
+        self.rob: List[RobEntry] = []
+        #: instructions in the ROB, a run counting each of its links
+        self.rob_used = 0
         self.store_buffer = StoreBuffer(
             config.store_buffer_drain_per_cycle, tracer=self.tracer, core_id=core_id
         )
-        #: dispatched instructions not yet retired.  A dependence on a
-        #: seq missing here is satisfied: its producer retired, so it
+        #: the ROB's :class:`DynInstr` entries by seq.  A seq missing
+        #: here is a link of a run, or older than the ROB: retired, so
         #: completed.
         self.dyn_by_seq: Dict[int, DynInstr] = {}
 
@@ -149,6 +201,12 @@ class OooCore:
         #: store buffer holds nothing to drain: until an instruction
         #: completes, a tick can only count a ROB stall.
         self.waiting_on_head = False
+        #: set when the head is a completed fence held by the store
+        #: backlog, nothing waits to drain and dispatch stopped on a full
+        #: ROB or at the trace's end: until a store or flush is
+        #: acknowledged or a pcommit drains, a tick can only count the
+        #: fence (and a ROB stall).
+        self.waiting_on_fence = False
         #: optional fault-injection observer with ``on_retire(core, dyn)``,
         #: called after the adapter's own retirement bookkeeping for
         #: every retired instruction that is not an ALU.
@@ -180,11 +238,50 @@ class OooCore:
             # completes, and every completion clears the flag.
             self.frontend.record_stall("rob")
             return False
+        if self.waiting_on_fence:
+            # Nothing retires past the fence, so nothing drains or frees
+            # a ROB slot, until an acknowledgment clears the flag.
+            self._count_fence_block(self.rob[0])
+            frontend = self.frontend
+            if not frontend.exhausted():
+                frontend.record_stall("rob")
+            return False
         self._progress = False
-        self._retire()
+        fence_held = self._retire()
         self._drain_store_buffer()
-        self._dispatch()
+        if (
+            self._dispatch()
+            and fence_held
+            and not self._progress
+            and self.store_buffer.head() is None
+        ):
+            self.waiting_on_fence = True
         return self._progress
+
+    def expanded_rob(self) -> List[Tuple[int, State, List[int]]]:
+        """The ROB one instruction at a time, each run expanded into its
+        links: ``(seq, state, seqs of the dependents waiting on it)``,
+        as the per-instruction model holds them (a waiting run counts
+        as its first link)."""
+        slots = []
+        for entry in self.rob:
+            if entry.__class__ is not LinkRun:
+                slots.append((entry.seq, entry.state, [w.seq for w in entry.waiters]))
+                continue
+            first, count, done = entry.seq, entry.count, entry.done
+            for index in range(count):
+                seq = first + index
+                if index < done:
+                    state = _COMPLETED
+                elif index == done and entry.running:
+                    state = _EXECUTING
+                else:
+                    state = _DISPATCHED
+                # An incomplete link has the next link waiting on it.
+                waiters = [seq + 1] if done <= index < count - 1 else []
+                waiters += [w.seq for w in entry.waiters if w.seq - w.instr.dep == seq]
+                slots.append((seq, state, waiters))
+        return slots
 
     # -- think-chain window ----------------------------------------------------------
 
@@ -193,47 +290,42 @@ class OooCore:
 
         Call right after a tick that only counted a ``stall.rob``, so the
         ROB is full and an instruction is left to dispatch.  The core
-        parks when its ROB holds nothing but latency-2, ``dep=1``
-        ALU links of one shared record, its next instruction is that
-        link too, and its head's completion is due on the next cycle.
-        Until the run of links has dispatched, each completion cycle then
-        retires one link and dispatches one, and every other cycle counts
-        one ``stall.rob``; nothing else can reach the core's tick, so the
-        core skips those ticks and :meth:`unpark` rebuilds their effect.
-        The head's completion event leaves the heap.
+        parks when its ROB is one run of latency-2 links, its next
+        instruction is that link too, and the run's head completion is
+        due on the next cycle.  Until the links have dispatched, each
+        completion cycle then retires one link and dispatches one, and
+        every other cycle counts one ``stall.rob``; nothing else can
+        reach the core's tick, so the core skips those ticks and
+        :meth:`unpark` rebuilds their effect.  The run's completion
+        event leaves the heap.  A live tracer keeps links out of runs,
+        so a traced core never parks.
 
         Returns the cycle after the window's last completion, on which
         the core must be unparked and tick again, or None when the core
         cannot park.
         """
-        if self.tracer.enabled:
+        rob = self.rob
+        if len(rob) != 1:
             return None
         instructions = self.frontend.trace.instructions
         pc = self.frontend.pc
-        rob = self.rob
         link = instructions[pc]
-        head = rob[0]
-        if head.instr is not link or link.kind is not _ALU:
-            return None
-        if link.dep != 1 or link.latency != 2:
+        run = rob[0]
+        if run.__class__ is not LinkRun or run.instr is not link or link.latency != 2:
             return None
         counters = self.stats.counters
         # Bulk adds to existing counters cannot change their order.  A
-        # dep=1 head implies all three (its producer retired), but the
-        # window's exactness rests on them, so check.
+        # run at the head implies all three (its producer retired), but
+        # the window's exactness rests on them, so check.
         if not (
             "stall.rob" in counters
             and "retired_instructions" in counters
             and "dispatched_instructions" in counters
         ):
             return None
-        if any(dyn.instr is not link for dyn in rob):
-            return None
         cycle = self.engine.cycle
-        if not self.engine.cancel(
-            cycle + 1,
-            lambda callback: isinstance(callback, partial) and callback.args == (head,),
-        ):
+        callback = run.callback
+        if not self.engine.cancel(cycle + 1, lambda scheduled: scheduled is callback):
             return None
         end = pc + 1
         while end < len(instructions) and instructions[end] is link:
@@ -251,11 +343,13 @@ class OooCore:
         (every earlier cycle's tick done); ``fired=True`` the state after
         they fired, before this cycle's ticks.  The window's completion
         cycles are ``park + 1 + 2k``: on each one the head completes and
-        starts its waiter, and the tick retires the head and dispatches
-        the next link.  Every other tick counts one ``stall.rob``.  The
-        rebuilt head completion gets a fresh sequence number; its order
-        among same-cycle events cannot be observed, because only ALU
-        links wait on an ALU.
+        starts the next link, and the tick retires the head and
+        dispatches one more link.  Every other tick counts one
+        ``stall.rob``.  The run keeps its size and moves ``seq`` and the
+        pc on by the completions whose tick has run.  Its rebuilt
+        completion gets a fresh sequence number; its order among
+        same-cycle events cannot be observed, because only ALU links
+        wait on an ALU.
         """
         park_cycle = self._parked_at
         self._parked_at = None
@@ -266,33 +360,16 @@ class OooCore:
         if fired and cycle == park_cycle + 1 + 2 * ticked:
             completed += 1
 
-        rob = self.rob
         frontend = self.frontend
-        dyn_by_seq = self.dyn_by_seq
-        pc = frontend.pc
-        first = rob[0].seq + ticked
-        for dyn in rob[:ticked]:
-            del dyn_by_seq[dyn.seq]
-        del rob[:ticked]
         instructions = frontend.trace.instructions
-        for seq in range(max(pc, first), pc + ticked):
-            dyn = DynInstr(instructions[seq], seq)
-            rob.append(dyn)
-            dyn_by_seq[seq] = dyn
-        frontend.pc = pc + ticked
-
+        frontend.pc += ticked
+        run = self.rob[0]
+        run.seq += ticked
         executing = completed - ticked
-        last = len(rob) - 1
-        for index, dyn in enumerate(rob):
-            if index < executing:
-                dyn.state = _COMPLETED
-            elif index == executing:
-                dyn.state = _EXECUTING
-            else:
-                dyn.state = _DISPATCHED
-            dyn.waiters = [rob[index + 1]] if executing <= index < last else []
-        if executing <= last:
-            self.complete_after(rob[executing], park_cycle + 1 + 2 * completed - cycle)
+        run.done = executing
+        run.running = executing < run.count
+        if run.running:
+            self.engine.schedule(park_cycle + 1 + 2 * completed - cycle, run.callback)
 
         if executing:
             # The head completed this cycle and no tick has run since.
@@ -334,13 +411,51 @@ class OooCore:
             for waiter in waiters:
                 self._start(waiter)
 
+    def _link_completed(self, run: LinkRun) -> None:
+        """A run's executing link completed: as :meth:`_mark_completed`,
+        start what waits on it, the next link first."""
+        self.waiting_on_head = False
+        self._progress = True
+        done = run.done + 1
+        run.done = done
+        if done < run.count:
+            self.engine.schedule(run.delay, run.callback)
+        else:
+            run.running = False
+        waiters = run.waiters
+        if waiters:
+            seq = run.seq + done - 1
+            ready = [w for w in waiters if w.seq - w.instr.dep <= seq]
+            if ready:
+                run.waiters = [w for w in waiters if w.seq - w.instr.dep > seq]
+                for waiter in ready:
+                    self._start(waiter)
+
     def complete_after(self, dyn: DynInstr, delay: int) -> None:
         """Schedule completion of ``dyn`` after ``delay`` cycles."""
         self.engine.schedule(delay, partial(self._mark_completed, dyn))
 
+    def _pending_producer(self, seq: int) -> Optional[RobEntry]:
+        """The entry to wait on for instruction ``seq``'s result: the
+        :class:`DynInstr` itself, or the run whose link it is.  None when
+        it has completed."""
+        producer = self.dyn_by_seq.get(seq)
+        if producer is not None:
+            if producer.state is _COMPLETED or producer.state is _RETIRED:
+                return None
+            return producer
+        rob = self.rob
+        if not rob or seq < rob[0].seq:
+            return None  # retired
+        # Not a DynInstr, so a link of the last run starting at or before it.
+        run = next(entry for entry in reversed(rob) if entry.seq <= seq)
+        return run if seq - run.seq >= run.done else None
+
     # -- dispatch ----------------------------------------------------------------------
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> bool:
+        """Dispatch up to the fetch width; returns True when dispatch
+        stopped on a full ROB or at the trace's end."""
         frontend = self.frontend
         # Read every cycle: a built trace may still grow (tests insert a
         # log-save into it after the simulator is constructed).
@@ -349,68 +464,100 @@ class OooCore:
         pc = frontend.pc
         config = self.config
         width = config.fetch_width
+        rob_entries = config.rob_entries
+        used = self.rob_used
         rob = self.rob
         adapter = self.adapter
         dyn_by_seq = self.dyn_by_seq
+        tracing = self.tracer.enabled
+        # A link of the tail run's record joins that run.
+        tail = rob[-1] if rob and rob[-1].__class__ is LinkRun else None
         cause: Optional[str] = None
         dispatched = 0
         while dispatched < width and pc < end:
             instr = instructions[pc]
-            kind = instr.kind
-            # Structural hazards, in attribution order.
-            if len(rob) >= config.rob_entries:
+            # Structural hazards, in attribution order.  A link uses no
+            # queue and reaches no adapter hook.
+            if used >= rob_entries:
                 cause = "rob"
                 break
-            if kind.uses_load_queue and self.lq_used >= config.load_queue_entries:
-                cause = "lq"
-                break
-            if kind.uses_store_queue and self.sq_used >= config.store_queue_entries:
-                cause = "sq"
-                break
-            dyn = DynInstr(instr, pc)
-            # No adapter acts on an ALU instruction.
-            if kind is not _ALU:
-                cause = adapter.dispatch_blocked(dyn)
-                if cause is not None:
-                    break
-            pc += 1
-            frontend.pc = pc
-            rob.append(dyn)
-            dyn_by_seq[dyn.seq] = dyn
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "instr", "dispatch", tid=self.core_id, seq=dyn.seq,
-                    kind=kind.value, addr=instr.addr, txid=instr.txid,
-                )
-            if kind.uses_load_queue:
-                self.lq_used += 1
-            if kind.uses_store_queue:
-                self.sq_used += 1
-            # Execute now, or once the producer completes.  A producer
-            # absent from dyn_by_seq has retired, so it has completed.
-            # dep == 0 must not look up dyn.seq: that is this dyn itself.
-            dep = instr.dep
-            producer = dyn_by_seq.get(dyn.seq - dep) if dep else None
-            if producer is None or producer.state is _COMPLETED or producer.state is _RETIRED:
-                self._start(dyn)
+            if tail is not None and instr is tail.instr:
+                # Its predecessor, the run's last link, may have completed.
+                ready = tail.done == tail.count
+                tail.count += 1
+                if ready:
+                    self._start(tail)
+            elif instr.kind is _ALU and instr.dep == 1 and not tracing:
+                run = LinkRun(instr, pc, self._link_completed)
+                rob.append(run)
+                producer = self._pending_producer(pc - 1)
+                if producer is None:
+                    self._start(run)
+                else:
+                    producer.waiters.append(run)
+                tail = run
             else:
-                producer.waiters.append(dyn)
+                kind = instr.kind
+                if kind.uses_load_queue and self.lq_used >= config.load_queue_entries:
+                    cause = "lq"
+                    break
+                if kind.uses_store_queue and self.sq_used >= config.store_queue_entries:
+                    cause = "sq"
+                    break
+                dyn = DynInstr(instr, pc)
+                # No adapter acts on an ALU instruction.
+                if kind is not _ALU:
+                    cause = adapter.dispatch_blocked(dyn)
+                    if cause is not None:
+                        break
+                rob.append(dyn)
+                dyn_by_seq[pc] = dyn
+                if tracing:
+                    self.tracer.instant(
+                        "instr", "dispatch", tid=self.core_id, seq=pc,
+                        kind=kind.value, addr=instr.addr, txid=instr.txid,
+                    )
+                if kind.uses_load_queue:
+                    self.lq_used += 1
+                if kind.uses_store_queue:
+                    self.sq_used += 1
+                # Execute now, or once the producer completes.  dep == 0
+                # must not look up its own seq.
+                dep = instr.dep
+                producer = self._pending_producer(pc - dep) if dep else None
+                if producer is None:
+                    self._start(dyn)
+                else:
+                    producer.waiters.append(dyn)
+                tail = None
+            pc += 1
+            used += 1
             dispatched += 1
+        frontend.pc = pc
+        self.rob_used = used
         if dispatched:
             self._progress = True
             self.stats.add("dispatched_instructions", dispatched)
         elif pc < end:
             frontend.record_stall(cause)
-        if (
-            cause == "rob"
-            and rob[0].state is not _COMPLETED
-            and self.store_buffer.head() is None
-        ):
-            self.waiting_on_head = True
+        if cause == "rob" and self.store_buffer.head() is None:
+            head = rob[0]
+            if head.__class__ is LinkRun:
+                if not head.done:
+                    self.waiting_on_head = True
+            elif head.state is not _COMPLETED:
+                self.waiting_on_head = True
+        return cause == "rob" or pc >= end
 
     # -- execution -----------------------------------------------------------------------
 
-    def _start(self, dyn: DynInstr) -> None:
+    def _start(self, dyn: RobEntry) -> None:
+        if dyn.__class__ is LinkRun:
+            # The run's next link: its predecessor has completed.
+            dyn.running = True
+            self._progress = True
+            self.engine.schedule(dyn.delay, dyn.callback)
+            return
         if dyn.state is not _DISPATCHED:
             return
         dyn.state = _EXECUTING
@@ -475,25 +622,48 @@ class OooCore:
 
     def _pcommit_done(self) -> None:
         self.pending_pcommits -= 1
+        self.waiting_on_fence = False
         # Progress resumes at the next tick; the retire loop re-checks.
 
-    def _retire(self) -> None:
+    def _count_fence_block(self, dyn: DynInstr) -> None:
+        self.stats.add("retire_blocked.fence")
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "stall", "retire-fence", tid=self.core_id, seq=dyn.seq,
+                kind=dyn.instr.kind.value,
+            )
+
+    def _retire(self) -> bool:
+        """Retire up to the retire width; returns True when retirement
+        stopped at a completed fence that :meth:`_fence_blocked` holds."""
         rob = self.rob
         width = self.config.retire_width
         adapter = self.adapter
         retired = 0
+        fence_held = False
         while retired < width and rob:
             dyn = rob[0]
+            if dyn.__class__ is LinkRun:
+                # Links complete in order and reach no adapter hook,
+                # observer or queue.
+                links = min(dyn.done, width - retired)
+                if not links:
+                    break
+                retired += links
+                self.stats.add("retired_instructions", links)
+                if links == dyn.count:
+                    rob.pop(0)
+                    continue
+                dyn.seq += links
+                dyn.count -= links
+                dyn.done -= links
+                break
             if dyn.state is not _COMPLETED:
                 break
             kind = dyn.instr.kind
             if kind.is_fence and self._fence_blocked(dyn):
-                self.stats.add("retire_blocked.fence")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "stall", "retire-fence", tid=self.core_id, seq=dyn.seq,
-                        kind=kind.value,
-                    )
+                self._count_fence_block(dyn)
+                fence_held = True
                 break
             if kind is not _ALU and adapter.retire_blocked(dyn):
                 self.stats.add("retire_blocked.adapter")
@@ -527,6 +697,8 @@ class OooCore:
             retired += 1
         if retired:
             self._progress = True
+            self.rob_used -= retired
+        return fence_held
 
     # -- store buffer drain ------------------------------------------------------------------
 
@@ -568,8 +740,10 @@ class OooCore:
     def _store_written(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
+        self.waiting_on_fence = False
 
     def _flush_acked(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
         self.pending_pmem -= 1
+        self.waiting_on_fence = False

@@ -54,7 +54,7 @@ class OccupancySampler:
             self.tracer.counter(
                 "core",
                 {
-                    "rob": len(core.rob),
+                    "rob": core.rob_used,
                     "sb": core.store_buffer.occupancy(),
                     "sb_inflight": core.store_buffer.in_flight(),
                     "lq": core.lq_used,

@@ -389,7 +389,7 @@ class Simulator:
         for core in self.cores:
             parts.append(
                 f"core{core.core_id}: pc={core.frontend.pc}/{len(core.frontend.trace)} "
-                f"rob={len(core.rob)} sb={core.store_buffer.occupancy()}"
+                f"rob={core.rob_used} sb={core.store_buffer.occupancy()}"
                 f"+{core.store_buffer.in_flight()}inflight pmem={core.pending_pmem}"
             )
         return "; ".join(parts)

@@ -8,8 +8,9 @@ patched never to park.  Whole runs must give the oracle's ordered
 ``Stats`` and cycles, and a run stopped inside a window — by a cycle
 halt, by a fault trigger or by the cycle budget — must leave the
 oracle's machine state: the counters, the clock, the pending-event
-cycles and every core's pc, ROB entries, waiters, ``waiting_on_head``
-and ``dyn_by_seq``.
+cycles and every core's pc, ROB entries and their waiters (a run of
+links read one link at a time, through ``OooCore.expanded_rob``),
+``waiting_on_head`` and ``dyn_by_seq``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def machine_state(sim):
     cores = [
         (
             core.frontend.pc,
-            [(dyn.seq, dyn.state, [w.seq for w in dyn.waiters]) for dyn in core.rob],
+            core.expanded_rob(),
             core.waiting_on_head,
             list(core.dyn_by_seq),
         )
@@ -96,7 +97,7 @@ class WindowLog:
             unpark(core, fired)
             cycle = core.engine.cycle
             self.rebuilds.append(
-                (cycle, fired, cycle < until, core.rob[0].state is State.COMPLETED)
+                (cycle, fired, cycle < until, core.expanded_rob()[0][1] is State.COMPLETED)
             )
 
         monkeypatch.setattr(OooCore, "park", logged_park)

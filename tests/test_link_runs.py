@@ -1,0 +1,237 @@
+"""Link runs against per-instruction links.
+
+An untraced core holds consecutive think-chain links of one record as
+one ROB entry, a ``LinkRun`` (see docs/architecture.md, "Reference loop
+hot path").  A live tracer keeps
+every link a ``DynInstr`` and never parks a core, so a traced run is
+the oracle: whole runs must give its ordered ``Stats`` and cycles, and
+a run halted on a seeded cycle must leave its machine state — the
+counters, the clock, the pending-event cycles and every core's pc,
+waiting flags, queues and ROB, one instruction at a time
+(``OooCore.expanded_rob``).  Hand-built streams step a traced and an
+untraced core side by side and compare their states after every tick.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.schemes import Scheme
+from repro.cpu.ooo_core import LinkRun
+from repro.isa.instructions import Instruction, Kind, alu, load
+from repro.obs.tracer import Tracer
+from repro.sim.config import CoreConfig, fast_nvm_config
+from repro.sim.engine import SimulationHalted
+from repro.sim.simulator import Simulator
+from repro.workloads import WORKLOADS
+from repro.workloads.base import generate_traces
+from tests.test_ooo_core import build_core
+
+SIZING = dict(init_ops=16, sim_ops=3)
+WORKLOADS_UNDER_TEST = ("QE", "HM", "BT")
+THREADS = (1, 2, 4)
+HALTS_PER_CELL = 4
+
+
+def core_state(core):
+    return dict(
+        pc=core.frontend.pc,
+        waiting_on_head=core.waiting_on_head,
+        waiting_on_fence=core.waiting_on_fence,
+        rob_used=core.rob_used,
+        rob=core.expanded_rob(),
+        lq=core.lq_used,
+        sq=core.sq_used,
+        store_buffer=core.store_buffer.occupancy(),
+        in_flight=core.store_buffer.in_flight(),
+        pending_pmem=core.pending_pmem,
+        pending_pcommits=core.pending_pcommits,
+    )
+
+
+def machine_state(sim):
+    engine = sim.engine
+    return (
+        list(sim.stats.counters.items()),
+        engine.cycle,
+        engine.pending_cycles(),
+        [core_state(core) for core in sim.cores],
+    )
+
+
+def build_sim(scheme, workload, threads, traced, halt=None):
+    traces = generate_traces(WORKLOADS[workload], threads=threads, seed=7, **SIZING)
+    tracer = Tracer(capacity=1) if traced else None
+    sim = Simulator(fast_nvm_config(cores=threads), scheme, traces, tracer=tracer)
+    if halt is not None:
+        sim.engine.halt_at_cycle(halt)
+    return sim
+
+
+def outcome(sim):
+    """How a run ended, and the machine state it left."""
+    try:
+        result = sim.run()
+    except SimulationHalted as halt:
+        ended = ("halted", halt.cycle)
+    else:
+        ended = ("finished", result.cycles)
+    return ended, machine_state(sim)
+
+
+MATRIX = [
+    (scheme, workload, threads)
+    for scheme in Scheme
+    for workload in WORKLOADS_UNDER_TEST
+    for threads in THREADS
+]
+
+
+@pytest.mark.parametrize(
+    "index, scheme, workload, threads",
+    [(index, *cell) for index, cell in enumerate(MATRIX)],
+    ids=[f"{s.value}-{w}-{t}t" for s, w, t in MATRIX],
+)
+def test_runs_and_halts_match_per_instruction_links(index, scheme, workload, threads):
+    traced = build_sim(scheme, workload, threads, traced=True)
+    expected = outcome(traced)
+    assert outcome(build_sim(scheme, workload, threads, traced=False)) == expected
+    assert expected[0][0] == "finished"
+
+    # Halts land in the cycle loop, before the final controller drain.
+    cycles = range(1, traced.core_finish_cycle)
+    halts = sorted(random.Random(index).sample(cycles, HALTS_PER_CELL))
+    held_runs = 0
+    for halt in halts:
+        expected = outcome(build_sim(scheme, workload, threads, traced=True, halt=halt))
+        assert expected[0] == ("halted", halt)
+        sim = build_sim(scheme, workload, threads, traced=False, halt=halt)
+        assert outcome(sim) == expected, halt
+        held_runs += any(type(entry) is LinkRun for core in sim.cores for entry in core.rob)
+    assert held_runs, "no halt found a link run in a ROB"
+
+
+# -- hand-built streams ------------------------------------------------------------
+
+
+def entry_shape(entry):
+    if type(entry) is LinkRun:
+        return dict(
+            kind="run", instr=entry.instr, seq=entry.seq, count=entry.count,
+            done=entry.done, running=entry.running,
+            waiters=[w.seq for w in entry.waiters],
+        )
+    return dict(kind="dyn", seq=entry.seq, state=entry.state)
+
+
+def step(stream, traced, core_config=None):
+    """Tick one core through ``stream`` as ``run_core`` does; returns
+    the machine state after every tick and, per tick, the ROB's entries
+    (``entry_shape``)."""
+    engine, stats, core = build_core(
+        stream, core_config=core_config, tracer=Tracer(capacity=1) if traced else None
+    )
+    states, shapes = [], []
+    while not core.finished():
+        assert engine.cycle < 100_000, "core did not finish"
+        fired = engine.fire_due_events()
+        progressed = core.tick()
+        states.append(
+            (list(stats.counters.items()), engine.cycle, engine.pending_cycles(),
+             core_state(core))
+        )
+        shapes.append([entry_shape(entry) for entry in core.rob])
+        if progressed or fired:
+            engine.advance(1)
+        else:
+            assert engine.advance_to_next_event(), "deadlock"
+    assert stats.get("retired_instructions") == len(stream)
+    return states, shapes
+
+
+def runs_match_per_instruction_links(stream, core_config=None):
+    """Step ``stream`` traced and untraced; the states must be equal
+    after every tick.  Returns the untraced run's per-tick states and
+    ROB shapes."""
+    states, shapes = step(stream, traced=False, core_config=core_config)
+    traced_states, traced_shapes = step(stream, traced=True, core_config=core_config)
+    assert states == traced_states
+    assert all(entry["kind"] == "dyn" for shape in traced_shapes for entry in shape)
+    return states, shapes
+
+
+def link(latency=2):
+    """A fresh link record; every position it fills shares it."""
+    return Instruction(Kind.ALU, latency=latency, dep=1)
+
+
+def test_two_consecutive_runs_of_different_records():
+    """The second run's first link waits on the first run's last link,
+    so the second run waits in the first run's waiters."""
+    first, second = link(), link(latency=3)
+    stream = [alu(latency=2)] + [first] * 12 + [second] * 12 + [alu()]
+    _, shapes = runs_match_per_instruction_links(stream)
+    assert any(
+        older["kind"] == younger["kind"] == "run"
+        and older["instr"] is first
+        and younger["instr"] is second
+        and younger["seq"] in older["waiters"]
+        and not younger["running"]
+        for shape in shapes
+        for older, younger in zip(shape, shape[1:])
+    )
+
+
+def test_a_load_whose_dep_reaches_into_a_run():
+    """A load dispatched while the link it depends on executes waits in
+    the run, and issues when that link completes."""
+    stream = [alu(latency=2)] + [link()] * 10 + [load(0x40000, dep=4)] + [alu()] * 4
+    load_seq, producer = 11, 7
+    _, shapes = runs_match_per_instruction_links(stream)
+    waited = [
+        entry
+        for shape in shapes
+        for entry in shape
+        if entry["kind"] == "run" and load_seq in entry["waiters"]
+    ]
+    assert waited
+    assert all(entry["seq"] + entry["done"] <= producer for entry in waited)
+
+
+def test_a_run_retires_across_retire_width_boundaries():
+    """Links that completed behind a cold load retire a retire width at
+    a time, leaving the rest of the run at the ROB head."""
+    width = CoreConfig().retire_width
+    stream = [load(0x40000), alu()] + [link(latency=1)] * 30 + [alu()]
+    states, shapes = runs_match_per_instruction_links(stream)
+    retired = [dict(counters).get("retired_instructions", 0) for counters, *_ in states]
+    partial = [
+        tick
+        for tick in range(1, len(states))
+        if retired[tick] - retired[tick - 1] == width
+        and shapes[tick]
+        and shapes[tick][0]["kind"] == "run"
+        and shapes[tick][0]["done"] > 0
+    ]
+    assert len(partial) >= 2
+
+
+def test_a_rob_full_of_one_run():
+    """One run fills the ROB, ``rob_used`` counts its links, and the
+    core waits on its head."""
+    config = CoreConfig(rob_entries=16)
+    chain = link()
+    stream = [alu(latency=2)] + [chain] * 60 + [alu()]
+    states, shapes = runs_match_per_instruction_links(stream, core_config=config)
+    full = [
+        core
+        for (*_, core), shape in zip(states, shapes)
+        if len(shape) == 1 and shape[0]["kind"] == "run"
+        and shape[0]["count"] == config.rob_entries
+    ]
+    assert full
+    for core in full:
+        assert core["rob_used"] == config.rob_entries == len(core["rob"])
+    assert any(core["waiting_on_head"] for core in full), "the core never waited on the run"

@@ -26,7 +26,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import Stats
 
 
-def build_core(instructions, core_config=None, warm=(), adapter=None):
+def build_core(instructions, core_config=None, warm=(), adapter=None, tracer=None):
     engine = Engine()
     stats = Stats()
     config = SystemConfig(
@@ -45,7 +45,9 @@ def build_core(instructions, core_config=None, warm=(), adapter=None):
     hierarchy.warm(0, warm)
     trace = InstructionTrace(thread_id=0)
     trace.extend(instructions)
-    core = OooCore(0, engine, config.core, trace, hierarchy, mc, stats, adapter=adapter)
+    core = OooCore(
+        0, engine, config.core, trace, hierarchy, mc, stats, adapter=adapter, tracer=tracer
+    )
     return engine, stats, core
 
 

@@ -2,7 +2,8 @@
 
 ``Simulator.run`` checks and ticks only the cores that have not
 finished, ``OooCore`` decides dependence readiness from ``dyn_by_seq``
-alone, and a core waiting on its ROB head only counts the stall.  These
+and its link runs alone, and a core waiting on its ROB head, or on a
+fence its store backlog holds, only counts the stalls.  These
 shortcuts are exact only under the invariants pinned here.  The loop
 also skips idle cycles by jumping to the next event, yet a halt or a
 cycle-triggered crash must still land on its exact cycle; the last
@@ -148,23 +149,108 @@ def test_waiting_on_the_rob_head_only_counts_the_stall(monkeypatch, scheme):
     reference = build_sim(scheme, threads=2, workload=HashMapWorkload).run()
 
     sim = build_sim(scheme, threads=2, workload=HashMapWorkload)
-    original_mark_completed = OooCore._mark_completed
+    completions = {"_mark_completed": 0, "_link_completed": 0}
 
-    def mark_completed_clears_the_flag(core, dyn):
-        original_mark_completed(core, dyn)
-        assert not core.waiting_on_head
-        for other in sim.cores:
-            assert not (other.finished() and other.waiting_on_head)
+    def clears_the_flag(name):
+        original = getattr(OooCore, name)
+
+        def completed(core, entry):
+            original(core, entry)
+            completions[name] += 1
+            assert not core.waiting_on_head
+            for other in sim.cores:
+                assert not (other.finished() and other.waiting_on_head)
+
+        return completed
 
     probes = probe_waiting_ticks(monkeypatch, sim)
-    monkeypatch.setattr(OooCore, "_mark_completed", mark_completed_clears_the_flag)
+    # A run's callback completes its links, so it is held to the same rule.
+    for name in completions:
+        monkeypatch.setattr(OooCore, name, clears_the_flag(name))
     result = sim.run()
     monkeypatch.undo()
     assert probes, "no core ever waited on its ROB head"
+    assert all(completions.values()), completions
 
     for core in sim.cores:
         assert core.finished()
         assert not core.waiting_on_head
+    assert list(result.stats.counters.items()) == list(reference.stats.counters.items())
+    assert result.cycles == reference.cycles
+
+
+def probe_fence_ticks(monkeypatch, machine):
+    """Run the full tick in place of every fence-waiting core's shortcut.
+
+    The full tick must return False, add exactly one
+    ``retire_blocked.fence``, plus one ``stall.rob`` unless the trace is
+    exhausted, touch no other counter, pending event or the clock, and
+    leave the core waiting again.  Returns the list of probed core ids,
+    which grows as the run goes on.
+    """
+    original_tick = OooCore.tick
+    probes = []
+
+    def full_tick_when_waiting(core):
+        if not core.waiting_on_fence:
+            return original_tick(core)
+        counters, *rest = machine_state(machine)
+        expected = dict(counters)
+        expected["retire_blocked.fence"] += 1
+        if not core.frontend.exhausted():
+            expected["stall.rob"] = expected.get("stall.rob", 0) + 1
+        core.waiting_on_fence = False
+        assert original_tick(core) is False
+        assert machine_state(machine) == (list(expected.items()), *rest)
+        assert core.waiting_on_fence
+        probes.append(core.core_id)
+        return False
+
+    monkeypatch.setattr(OooCore, "tick", full_tick_when_waiting)
+    return probes
+
+
+#: The acknowledgments that can release a held fence.
+FENCE_RELEASES = ("_store_written", "_flush_acked", "_pcommit_done")
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_waiting_on_a_fence_only_counts_the_stalls(monkeypatch, scheme):
+    """Whenever a core waits on a fence held by its store backlog, its
+    full tick only counts the stalls (see ``probe_fence_ticks``).  Each
+    store, flush and pcommit acknowledgment clears the flag, a finished
+    core is never waiting, and the probed run's result is the unprobed
+    one."""
+    reference = build_sim(scheme, threads=2, workload=HashMapWorkload).run()
+
+    sim = build_sim(scheme, threads=2, workload=HashMapWorkload)
+    # acknowledgments that found the flag set
+    released = {name: 0 for name in FENCE_RELEASES}
+
+    def clears_the_flag(name):
+        original = getattr(OooCore, name)
+
+        def acknowledged(core):
+            released[name] += core.waiting_on_fence
+            original(core)
+            assert not core.waiting_on_fence
+
+        return acknowledged
+
+    probes = probe_fence_ticks(monkeypatch, sim)
+    for name in FENCE_RELEASES:
+        monkeypatch.setattr(OooCore, name, clears_the_flag(name))
+    result = sim.run()
+    monkeypatch.undo()
+    if scheme in (Scheme.PMEM, Scheme.PMEM_PCOMMIT):
+        assert probes, "no core ever waited on a fence"
+        assert released["_flush_acked"], released
+    if scheme is Scheme.PMEM_PCOMMIT:
+        assert released["_pcommit_done"], released
+
+    for core in sim.cores:
+        assert core.finished()
+        assert not core.waiting_on_fence
     assert list(result.stats.counters.items()) == list(reference.stats.counters.items())
     assert result.cycles == reference.cycles
 
