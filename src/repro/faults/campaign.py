@@ -55,7 +55,7 @@ CLEAN_MODES = ("none", "reorder", "stuck")
 #: Modes that manufacture durability violations; the campaign passes only
 #: when recovery checking *detects* them.  The log/flag drops also have
 #: static analogs that ``persist-lint`` must flag (see
-#: :mod:`repro.lint.crossval`).
+#: :data:`repro.verify.crossval.ANALOG_MUTATORS`).
 VIOLATION_MODES = tuple(mode for mode in FAULT_MODES if mode not in CLEAN_MODES)
 
 #: Friendly CLI spellings for the paper's workload abbreviations.

@@ -9,8 +9,9 @@ transaction/logging-pair structure.
 
 The analyzer is the static complement of the fault-injection campaigns
 (``repro.faults``): every deliberate-violation fault mode has a trace
-mutation whose lint verdict is known (see :mod:`repro.lint.crossval`),
-so the two checkers validate each other.
+mutation whose lint verdict is known (the ``lint_code`` of its analog
+in :data:`repro.verify.crossval.ANALOG_MUTATORS`), so the two checkers
+validate each other.
 
 Public API::
 

@@ -149,9 +149,17 @@ class Analyzer:
     # -- main walk -------------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
-        """Walk the stream and return the collected diagnostics."""
+        """Walk the stream and return the collected diagnostics.
+
+        An ALU carries no persistency obligation, so the walk steps over
+        it before any call (most of a lowered stream is think-chain
+        ALUs); indices still count every instruction.
+        """
+        alu = Kind.ALU
+        visit = self._visit
         for index, instr in enumerate(self.trace):
-            self._visit(index, instr)
+            if instr.kind is not alu:
+                visit(index, instr)
         self._finalize()
         return self.diagnostics
 

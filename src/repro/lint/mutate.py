@@ -7,9 +7,9 @@ three ways:
 
 * the deliberately-buggy stream corpus under ``tests/`` exercises one
   rule per mutator;
-* :mod:`repro.lint.crossval` maps the fault campaign's
-  deliberate-violation :class:`~repro.faults.plan.FaultPlan` modes onto
-  mutations, closing the static/dynamic loop;
+* :data:`repro.verify.crossval.ANALOG_MUTATORS` maps the fault
+  campaign's deliberate-violation :class:`~repro.faults.plan.FaultPlan`
+  modes onto mutations, closing the static/dynamic loop;
 * ad-hoc debugging (`what would the lint say if codegen forgot X?`).
 
 All mutators preserve ``dep`` consistency.  A ``dep`` is a backward

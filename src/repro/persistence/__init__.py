@@ -31,6 +31,7 @@ from repro.persistence.model import (
     images_equal,
 )
 from repro.persistence.recovery import (
+    CandidateImages,
     RecoveryError,
     RecoveryVerdict,
     check_recovery,
@@ -40,6 +41,7 @@ from repro.persistence.recovery import (
 )
 
 __all__ = [
+    "CandidateImages",
     "CrashImage",
     "CrashPoint",
     "FunctionalTx",

@@ -12,7 +12,7 @@ log-before-data invariant the hardware guarantees.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.schemes import Scheme
@@ -60,7 +60,15 @@ class CrashPoint:
 
 @dataclass
 class CrashImage:
-    """Durable machine state at the moment of the crash."""
+    """Durable machine state at the moment of the crash.
+
+    With an empty ``base`` (the default), ``durable`` is the whole
+    durable memory image.  With a non-empty ``base``, ``durable`` is an
+    overlay over it: a word ``durable`` holds has that value, and every
+    other word holds its ``base`` value.  In both, an absent word reads
+    as 0.  persist-verify builds overlays over a thread's initial image,
+    so a crash frontier costs the lines it tracks, not the whole heap.
+    """
 
     scheme: Scheme
     durable: Dict[int, int]
@@ -72,6 +80,8 @@ class CrashImage:
     end_mark: bool = False
     #: txid of the in-flight transaction (0 when none)
     inflight_txid: int = 0
+    #: the image ``durable`` overlays (empty: ``durable`` is whole)
+    base: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def from_machine_state(

@@ -15,7 +15,8 @@ Implements the recovery each scheme's log format supports:
   original pre-image (paper section 4.2's program-order log-to
   invariant exists exactly to make "earliest" recoverable).
 
-Recovery returns the repaired durable image; :class:`RecoveryError` is
+Recovery returns the repaired durable image, an overlay over the crash
+image's ``base`` like the image itself; :class:`RecoveryError` is
 raised when the log cannot restore consistency (e.g. a deliberately
 injected invariant violation).
 """
@@ -23,10 +24,9 @@ injected invariant violation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Union
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Union
 
 from repro.persistence.crash import CrashImage, InvariantViolation
-from repro.persistence.model import images_equal
 
 
 class RecoveryError(RuntimeError):
@@ -57,9 +57,40 @@ class RecoveryVerdict:
     error: str
 
 
+class CandidateImages:
+    """The whole images recovery may land on, with the words each changes.
+
+    ``images[k]`` is the durable image after ``k`` committed
+    transactions; ``changed[k]`` holds the words where it differs from
+    ``base`` (absent words read as 0).  A recovered overlay over
+    ``base`` then equals ``images[k]`` exactly when it holds every word
+    of ``changed[k]`` and agrees with ``images[k]`` on each word it
+    holds: every other word is ``base``'s in both.  Build it once per
+    check and pass it to every :func:`check_recovery` call whose images
+    overlay the same ``base`` object.
+    """
+
+    def __init__(
+        self, images: Sequence[Dict[int, int]], base: Dict[int, int]
+    ) -> None:
+        self.images = list(images)
+        self.base = base
+        self.changed: List[FrozenSet[int]] = [
+            frozenset(
+                word
+                for word in image.keys() | base.keys()
+                if image.get(word, 0) != base.get(word, 0)
+            )
+            for image in self.images
+        ]
+
+
+Candidates = Union[Sequence[Dict[int, int]], CandidateImages]
+
+
 def check_recovery(
     image: Union[CrashImage, Callable[[], CrashImage]],
-    candidates: List[Dict[int, int]],
+    candidates: Candidates,
 ) -> RecoveryVerdict:
     """Recover a crash image and verify atomicity, never raising.
 
@@ -67,12 +98,17 @@ def check_recovery(
     callable building one (image *construction* can itself detect an
     invariant violation — e.g. data durable before its log — which is a
     verification failure, not an internal error, so it is folded into
-    the verdict the same way a recovery failure is).
+    the verdict the same way a recovery failure is).  Its ``base`` says
+    what its durable words overlay: nothing for the fault campaign's
+    whole images, the thread's initial image for persist-verify's
+    frontiers.  ``candidates`` are whole images, as a list or as
+    :class:`CandidateImages` over that same ``base``; either way the
+    verdict is the one the flattened images would get.
     """
     try:
         built = image() if callable(image) else image
         recovered = recover(built)
-        k = verify_atomicity(recovered, candidates)
+        k = verify_atomicity(recovered, _over(built.base, candidates))
     except (InvariantViolation, RecoveryError) as err:
         return RecoveryVerdict(
             consistent=False, k=-1, error=f"{type(err).__name__}: {err}"
@@ -80,8 +116,17 @@ def check_recovery(
     return RecoveryVerdict(consistent=True, k=k, error="")
 
 
+def _over(base: Dict[int, int], candidates: Candidates) -> CandidateImages:
+    if isinstance(candidates, CandidateImages):
+        if candidates.base is base:
+            return candidates
+        candidates = candidates.images
+    return CandidateImages(candidates, base)
+
+
 def recover(image: CrashImage) -> Dict[int, int]:
-    """Run the scheme-appropriate recovery and return the repaired image."""
+    """Run the scheme-appropriate recovery and return the repaired image,
+    an overlay over ``image.base`` as ``image.durable`` is."""
     scheme = image.scheme
     if not scheme.failure_safe:
         raise RecoveryError(
@@ -167,16 +212,29 @@ def recovery_cost(image: CrashImage) -> Dict[str, int]:
 
 def verify_atomicity(
     recovered: Dict[int, int],
-    candidates: List[Dict[int, int]],
+    candidates: Candidates,
 ) -> int:
     """Check the recovered image equals one of the candidate images.
 
     ``candidates[k]`` is the image after ``k`` committed transactions.
-    Returns the matching ``k``; raises :class:`RecoveryError` when the
-    recovered image matches none (atomicity was violated).
+    ``recovered`` overlays the base of a :class:`CandidateImages`; a
+    plain list holds whole images, and ``recovered`` is then whole too.
+    Returns the first matching ``k``; raises :class:`RecoveryError`
+    when the recovered image matches none (atomicity was violated).
     """
-    for k, candidate in enumerate(candidates):
-        if images_equal(recovered, candidate):
+    if not isinstance(candidates, CandidateImages):
+        candidates = CandidateImages(candidates, {})
+    held = recovered.keys()
+    for k, (candidate, changed) in enumerate(
+        zip(candidates.images, candidates.changed)
+    ):
+        if not changed <= held:
+            continue  # a word the candidate changed is the base's here
+        get = candidate.get
+        for word, value in recovered.items():
+            if get(word, 0) != value:
+                break
+        else:
             return k
     raise RecoveryError(
         "recovered image does not correspond to any whole number of "

@@ -26,6 +26,7 @@ from repro.verify.crossval import (
     ANALOG_MUTATORS,
     CrossValCase,
     CrossValResult,
+    StaticAnalog,
     analog_for,
     cross_validate,
     dynamic_only_reason,
@@ -56,6 +57,7 @@ __all__ = [
     "Finding",
     "Frontier",
     "LineHistory",
+    "StaticAnalog",
     "StreamState",
     "VERIFY_RULES",
     "analog_for",

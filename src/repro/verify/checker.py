@@ -3,9 +3,9 @@
 Walks one lowered instruction stream, and after every instruction that
 can change the reachable crash-state set, enumerates every crash
 frontier the scheme's persistency model permits, materializes each into
-a durable machine image, runs the *same* recovery predicate the dynamic
-fault campaign uses (:func:`repro.persistence.recovery.check_recovery`),
-and demands:
+a durable machine image (an overlay over the thread's initial image),
+runs the *same* recovery predicate the dynamic fault campaign uses
+(:func:`repro.persistence.recovery.check_recovery`), and demands:
 
 * **atomicity** — the recovered image equals the image after some whole
   number of committed transactions;
@@ -28,12 +28,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.codegen import ThreadLayout
 from repro.core.schemes import Scheme
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, Kind
 from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint.ir import build_ir
 from repro.lint.profiles import profile_for
 from repro.lint.runner import layout_for_thread, lower_for_lint
-from repro.persistence.recovery import RecoveryVerdict, check_recovery
+from repro.persistence.recovery import (
+    CandidateImages,
+    RecoveryVerdict,
+    check_recovery,
+)
 from repro.verify.frontier import (
     Frontier,
     count_frontiers,
@@ -188,8 +192,12 @@ def verify_instruction_trace(
         layout = layout_for_thread(trace.thread_id)
     started = time.perf_counter()
     ir = build_ir(trace, tx_marks=profile.tx_marks)
-    candidates = derive_candidates(ir, layout, initial_image)
     state = StreamState(scheme, profile, layout, initial_image)
+    # Frontiers materialize as overlays over the initial image; the
+    # words each candidate changes from it are found once, here.
+    candidates = CandidateImages(
+        derive_candidates(ir, layout, initial_image), state.initial_image
+    )
     report = CheckReport(
         scheme=scheme,
         workload=workload,
@@ -251,9 +259,16 @@ def verify_instruction_trace(
         report.frontiers_checked += checked
 
     check_position(-1)
+    # An ALU changes neither the symbolic state nor the crash-state set,
+    # so the walk steps over it before any call (most of a lowered
+    # stream is think-chain ALUs).
+    alu = Kind.ALU
     for index, instr in enumerate(trace):
+        kind = instr.kind
+        if kind is alu:
+            continue
         state.apply(index, instr)
-        if instr.kind in INTERESTING_KINDS:
+        if kind in INTERESTING_KINDS:
             check_position(index)
     if len(trace):
         check_position(len(trace) - 1)

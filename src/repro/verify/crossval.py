@@ -22,6 +22,10 @@ Modes with no static analog (``torn`` tears a line mid-drain; ATOM's
 ``drop-log`` drops entries hardware generates at retirement, which never
 appear in the stream) are recorded as dynamic-only by design — they are
 why the campaign continues to exist alongside the checker.
+
+The log and logFlag drops also name the code ``persist-lint`` must raise
+on their analog (:attr:`StaticAnalog.lint_code`), so the ordering linter
+is held to the same fault vocabulary.
 """
 
 from __future__ import annotations
@@ -36,21 +40,45 @@ from repro.lint.mutate import drop_clwb_tagged_every, drop_log_flush_every
 from repro.lint.runner import lower_for_lint
 from repro.verify.checker import CheckReport, verify_instruction_trace
 
-#: scheme logging style -> fault mode -> stream mutator (the static analog).
-_Mutator = Callable[[InstructionTrace], InstructionTrace]
 
-ANALOG_MUTATORS: Dict[str, Dict[str, _Mutator]] = {
+@dataclass(frozen=True)
+class StaticAnalog:
+    """One fault mode's stream mutation.
+
+    Calling it drops every ``every``-th write of the kind the mode drops
+    at WPQ admission (every one by default).  ``lint_code`` is the code
+    persist-lint must raise on the mutated stream, at any period; None
+    where lint's verdict on the mode is not pinned.
+    """
+
+    drop: Callable[[InstructionTrace, int], InstructionTrace]
+    lint_code: Optional[str] = None
+
+    def __call__(self, trace: InstructionTrace, every: int = 1) -> InstructionTrace:
+        return self.drop(trace, every)
+
+
+def _drop_clwbs(tag: str) -> Callable[[InstructionTrace, int], InstructionTrace]:
+    return lambda trace, every: drop_clwb_tagged_every(trace, tag, every)
+
+
+#: scheme logging style -> fault mode -> its static analog.
+ANALOG_MUTATORS: Dict[str, Dict[str, StaticAnalog]] = {
     "software": {
-        "drop-log": lambda trace: drop_clwb_tagged_every(trace, "log", 1),
-        "drop-flag": lambda trace: drop_clwb_tagged_every(trace, "logflag", 1),
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        # Dropping log-area write-backs leaves entries that never become
+        # durable before their data stores.
+        "drop-log": StaticAnalog(_drop_clwbs("log"), lint_code="P002"),
+        # Dropping logFlag write-backs leaves flag transitions unfenced.
+        "drop-flag": StaticAnalog(_drop_clwbs("logflag"), lint_code="P003"),
+        "drop-data": StaticAnalog(_drop_clwbs("")),
     },
     "sshl": {
-        "drop-log": lambda trace: drop_log_flush_every(trace, 1),
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        # Dropping log-flushes removes undo coverage entirely.
+        "drop-log": StaticAnalog(drop_log_flush_every, lint_code="P001"),
+        "drop-data": StaticAnalog(_drop_clwbs("")),
     },
     "hardware": {
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        "drop-data": StaticAnalog(_drop_clwbs("")),
     },
 }
 
@@ -67,7 +95,7 @@ DYNAMIC_ONLY: Dict[str, str] = {
 }
 
 
-def analog_for(scheme: Union[Scheme, str], mode: str) -> Optional[_Mutator]:
+def analog_for(scheme: Union[Scheme, str], mode: str) -> Optional[StaticAnalog]:
     """The stream mutation matching fault mode ``mode`` under ``scheme``,
     or None when the mode is dynamic-only."""
     scheme = Scheme.parse(scheme)

@@ -9,6 +9,14 @@ stratified sampling under a state budget, and materializes a chosen
 frontier into the :class:`~repro.persistence.crash.CrashImage` the
 shared recovery predicate consumes.
 
+A materialized image is an **overlay** over the thread's initial image:
+it holds the words of the lines the stream has touched and leaves every
+other word to the base, so a frontier costs its tracked lines, not the
+whole heap.  Recovery repairs the overlay, and the atomicity check
+compares it with each candidate on its own words plus the words that
+candidate changed (:class:`~repro.persistence.recovery.CandidateImages`),
+which gives the verdict the whole images would get.
+
 Reductions applied (both sound — they only merge states with identical
 recovery verdicts, never drop reachable distinct ones):
 
@@ -166,17 +174,22 @@ def sample_frontiers(state: StreamState, cap: int, seed: int) -> List[Frontier]:
 
 
 def materialize(state: StreamState, frontier: Frontier) -> CrashImage:
-    """The durable machine state this frontier exposes."""
+    """The durable machine state this frontier exposes, as an overlay
+    over the thread's initial image.
+
+    The overlay holds the tracked lines only: each data line at its
+    chosen version, and 0 over each initial word of a log or flag line.
+    Those lines reach recovery as log entries and the logFlag, never as
+    memory words, so the image holds none of their words.  Every
+    untracked line is still at its initial content.
+    """
     chosen = frontier.chosen()
-    durable: Dict[int, int] = {
-        word: value
-        for word, value in state.initial_image.items()
-        if state.lines.get(word & ~(CACHE_LINE - 1)) is None
-    }
+    durable: Dict[int, int] = {}
     for line, history in state.lines.items():
-        if history.region != REGION_DATA:
-            continue
-        durable.update(history.content(chosen.get(line, history.floor)))
+        if history.region == REGION_DATA:
+            durable.update(history.content(chosen.get(line, history.floor)))
+        else:
+            durable.update(dict.fromkeys(history.content(0), 0))
 
     if state.scheme.is_software:
         logflag, entries = _software_log_view(state, chosen)
@@ -186,6 +199,7 @@ def materialize(state: StreamState, frontier: Frontier) -> CrashImage:
             entries,
             logflag=logflag,
             inflight_txid=logflag,
+            base=state.initial_image,
         )
 
     entries = [entry.to_log_entry() for entry in state.entries[: frontier.entry_count]]
@@ -195,6 +209,7 @@ def materialize(state: StreamState, frontier: Frontier) -> CrashImage:
         entries,
         end_mark=state.open_txid is None,
         inflight_txid=state.open_txid or 0,
+        base=state.initial_image,
     )
 
 

@@ -145,6 +145,10 @@ class StreamState:
         self.layout = layout
         self.memory: Dict[int, int] = dict(initial_image or {})
         self.initial_image: Dict[int, int] = dict(initial_image or {})
+        #: initial words of each line not yet tracked, by line.
+        self._initial_lines: Dict[int, Dict[int, int]] = {}
+        for word, value in self.initial_image.items():
+            self._initial_lines.setdefault(_line_of(word), {})[word] = value
         self.lines: Dict[int, LineHistory] = {}
         self._dirty_flush: Set[int] = set()
         self._staged_lines: Set[int] = set()
@@ -162,15 +166,10 @@ class StreamState:
     def _history(self, line: int) -> LineHistory:
         history = self.lines.get(line)
         if history is None:
-            initial = {
-                word: value
-                for word, value in self.initial_image.items()
-                if _line_of(word) == line
-            }
             history = LineHistory(
                 line=line,
                 region=region_of(line, self.layout),
-                versions=[initial],
+                versions=[self._initial_lines.pop(line, {})],
                 txids=[0],
                 producers=[-1],
                 needs=[0],

@@ -6,8 +6,9 @@ simulator executes) and applies one mutator from
 persistency-ordering bug — exactly the bug class one lint rule exists to
 catch.  ``tests/test_lint_rules.py`` drives one test per case and checks
 that every diagnostic code in the catalog is covered;
-``tests/test_lint_crossval.py`` reuses the clean traces for the
-static/dynamic cross-check.
+``tests/test_lint_crossval.py`` reuses the clean traces for lint's side
+of the static/dynamic cross-check, whose mutations and expected codes
+live in :data:`repro.verify.crossval.ANALOG_MUTATORS`.
 
 This module is plain data, not a pytest file.
 """

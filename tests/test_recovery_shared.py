@@ -7,6 +7,8 @@ tests pin the refactor: the legacy inline logic is reimplemented here
 verbatim (from the pre-refactor harness) and must produce identical
 verdicts — same consistency flag, same candidate index, same error
 string to the byte — over crash images from both verification paths.
+The model checker's images are overlays over the initial image; the
+legacy logic judges the whole image of the same frontier.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from repro.verify.model import StreamState, derive_candidates
 from repro.lint.ir import build_ir
 from repro.lint.profiles import profile_for
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
+from tests.test_verify_overlay import full_image
 
 
 def legacy_verdict(image, candidates) -> RecoveryVerdict:
@@ -45,7 +48,8 @@ def legacy_verdict(image, candidates) -> RecoveryVerdict:
 
 
 def _enumerated_images(scheme_name: str, trace):
-    """Crash images + candidates from the checker's own enumeration."""
+    """(overlay, whole image) pairs + candidates from the checker's own
+    enumeration."""
     scheme = Scheme.parse(scheme_name)
     op_trace = clean_op_trace()
     lowered, layout = lower_for_lint(op_trace, scheme)
@@ -63,7 +67,9 @@ def _enumerated_images(scheme_name: str, trace):
         for count, frontier in enumerate(iter_exhaustive(state)):
             if count >= 8:
                 break
-            images.append(materialize(state, frontier))
+            images.append(
+                (materialize(state, frontier), full_image(state, frontier))
+            )
     return images, candidates
 
 
@@ -71,9 +77,9 @@ def _enumerated_images(scheme_name: str, trace):
 def test_static_images_get_identical_verdicts(scheme):
     images, candidates = _enumerated_images(scheme, clean_trace(scheme))
     assert images
-    for image in images:
+    for image, whole in images:
         assert check_recovery(image, candidates) == legacy_verdict(
-            image, candidates
+            whole, candidates
         )
 
 
@@ -83,9 +89,9 @@ def test_static_images_get_identical_verdicts(scheme):
 def test_buggy_images_get_identical_verdicts(case):
     images, candidates = _enumerated_images(case.scheme, case.buggy_trace())
     assert images
-    for image in images:
+    for image, whole in images:
         new = check_recovery(image, candidates)
-        old = legacy_verdict(image, candidates)
+        old = legacy_verdict(whole, candidates)
         assert new == old, f"diverged on {image}"
 
 
