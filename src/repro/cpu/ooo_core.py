@@ -28,13 +28,16 @@ counts instructions, not entries.  A live tracer keeps every link a
 
 A core whose ROB holds nothing but one run of links can do even less:
 each completion cycle retires one link and dispatches the next, and
-every other cycle counts one ``stall.rob``.  :meth:`OooCore.park`
-takes such a core off the simulator's tick list, and its run's
-completion out of the event heap, until the chain's links have all
-dispatched; :meth:`OooCore.unpark` then rebuilds the run, pc,
-``waiting_on_head``, the pending completion and the counters for the
-cycle at hand, at the window's end or when a halt or an error stops the
-run inside it.
+every other cycle counts one ``stall.rob``.  So can a core whose ROB
+holds a chain's head run, entries that have all completed, and the next
+chain's run, whose links complete on the head's cycles: each completion
+cycle retires one head link and dispatches one tail link.
+:meth:`OooCore.park` takes such a core off the simulator's tick list,
+and the runs' completions out of the event heap, until the tail's links
+have all dispatched (or the head is down to its last link);
+:meth:`OooCore.unpark` then rebuilds the runs, pc, ``waiting_on_head``,
+the pending completions and the counters for the cycle at hand, at the
+window's end or when a halt or an error stops the run inside it.
 """
 
 from __future__ import annotations
@@ -290,29 +293,61 @@ class OooCore:
 
         Call right after a tick that only counted a ``stall.rob``, so the
         ROB is full and an instruction is left to dispatch.  The core
-        parks when its ROB is one run of latency-2 links, its next
-        instruction is that link too, and the run's head completion is
-        due on the next cycle.  Until the links have dispatched, each
-        completion cycle then retires one link and dispatches one, and
-        every other cycle counts one ``stall.rob``; nothing else can
-        reach the core's tick, so the core skips those ticks and
-        :meth:`unpark` rebuilds their effect.  The run's completion
-        event leaves the heap.  A live tracer keeps links out of runs,
-        so a traced core never parks.
+        parks when its ROB is a head run of latency-2 links, then
+        entries that have all completed, then a tail run whose record is
+        the next instruction; the head is the tail when the ROB is one
+        run.  The head's executing link must be its first, with no
+        dependent waiting on it, and the head and the tail must each
+        have a completion due on the next cycle ("lockstep").  For the
+        rest of the window each completion cycle then retires one head
+        link and dispatches one tail link, whose own completion lands on
+        the same cycle, and every other cycle counts one ``stall.rob``;
+        nothing else can reach the core's tick, so the core skips those
+        ticks and :meth:`unpark` rebuilds their effect.  The runs'
+        completion events leave the heap.  A live tracer keeps links out
+        of runs, so a traced core never parks.
+
+        The window takes one completion per tail-record link left to
+        dispatch, but, when the head is not the tail, at most all but
+        the head's last link: retirement then never reaches the entries
+        behind the head inside the window.  The cheap tests run first; a
+        refused two-run park may scan the middle entries, and only a
+        park that passes every other test searches the heap.
 
         Returns the cycle after the window's last completion, on which
         the core must be unparked and tick again, or None when the core
         cannot park.
         """
         rob = self.rob
-        if len(rob) != 1:
-            return None
+        head = rob[0]
+        tail = rob[-1]
         instructions = self.frontend.trace.instructions
         pc = self.frontend.pc
         link = instructions[pc]
-        run = rob[0]
-        if run.__class__ is not LinkRun or run.instr is not link or link.latency != 2:
+        if (
+            head.__class__ is not LinkRun
+            or tail.__class__ is not LinkRun
+            or tail.instr is not link
+            or link.latency != 2
+            or head.instr.latency != 2
+            or head.done
+            or head.waiters
+            or not head.running
+            or not tail.running
+        ):
             return None
+        end = len(instructions)
+        if head is not tail:
+            if head.count < 2:
+                return None
+            for index in range(1, len(rob) - 1):
+                entry = rob[index]
+                if entry.__class__ is LinkRun:
+                    if entry.running or entry.done != entry.count:
+                        return None
+                elif entry.state is not _COMPLETED:
+                    return None
+            end = min(end, pc + head.count - 1)
         counters = self.stats.counters
         # Bulk adds to existing counters cannot change their order.  A
         # run at the head implies all three (its producer retired), but
@@ -324,15 +359,15 @@ class OooCore:
         ):
             return None
         cycle = self.engine.cycle
-        callback = run.callback
-        if not self.engine.cancel(cycle + 1, lambda scheduled: scheduled is callback):
+        callbacks = (head.callback,) if head is tail else (head.callback, tail.callback)
+        if not self.engine.cancel(cycle + 1, callbacks):
             return None
-        end = pc + 1
-        while end < len(instructions) and instructions[end] is link:
-            end += 1
+        window_end = pc + 1
+        while window_end < end and instructions[window_end] is link:
+            window_end += 1
         self._parked_at = cycle
         # The last link dispatches on the last completion, one cycle earlier.
-        return cycle + 2 * (end - pc)
+        return cycle + 2 * (window_end - pc)
 
     def unpark(self, fired: bool = False) -> None:
         """Rebuild a parked core's state at the current cycle, exactly as
@@ -342,14 +377,17 @@ class OooCore:
         ``fired=False`` gives the state before this cycle's events fire
         (every earlier cycle's tick done); ``fired=True`` the state after
         they fired, before this cycle's ticks.  The window's completion
-        cycles are ``park + 1 + 2k``: on each one the head completes and
-        starts the next link, and the tick retires the head and
-        dispatches one more link.  Every other tick counts one
-        ``stall.rob``.  The run keeps its size and moves ``seq`` and the
-        pc on by the completions whose tick has run.  Its rebuilt
-        completion gets a fresh sequence number; its order among
-        same-cycle events cannot be observed, because only ALU links
-        wait on an ALU.
+        cycles are ``park + 1 + 2k``: on each one the head and the tail
+        each complete a link and start their next (a tail that caught up
+        stops, and the tick's dispatch restarts it), and the tick
+        retires the head's link and dispatches one more tail link.
+        Every other tick counts one ``stall.rob``.  So the head loses,
+        and the tail gains, one link per completion whose tick has run,
+        ``seq`` and the pc move on by as many, and the tail counts every
+        completion that fired as done; a single run is both and keeps
+        its size.  The rebuilt completions get fresh sequence numbers,
+        the head's first; their order among same-cycle events cannot be
+        observed, because only ALU links wait on an ALU.
         """
         park_cycle = self._parked_at
         self._parked_at = None
@@ -363,13 +401,21 @@ class OooCore:
         frontend = self.frontend
         instructions = frontend.trace.instructions
         frontend.pc += ticked
-        run = self.rob[0]
-        run.seq += ticked
+        rob = self.rob
+        head = rob[0]
+        tail = rob[-1]
         executing = completed - ticked
-        run.done = executing
-        run.running = executing < run.count
-        if run.running:
-            self.engine.schedule(park_cycle + 1 + 2 * completed - cycle, run.callback)
+        head.seq += ticked
+        head.count -= ticked
+        head.done = executing
+        tail.count += ticked
+        if tail is not head:
+            tail.done += completed
+        due = park_cycle + 1 + 2 * completed - cycle
+        for run in (head,) if tail is head else (head, tail):
+            run.running = run.done < run.count
+            if run.running:
+                self.engine.schedule(due, run.callback)
 
         if executing:
             # The head completed this cycle and no tick has run since.

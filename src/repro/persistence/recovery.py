@@ -24,7 +24,7 @@ injected invariant violation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.persistence.crash import CrashImage, InvariantViolation
 
@@ -83,6 +83,25 @@ class CandidateImages:
             )
             for image in self.images
         ]
+        self._equal: Optional[List[Tuple[int, ...]]] = None
+
+    def equal_to(self, k: int) -> Tuple[int, ...]:
+        """Every index whose image equals ``images[k]``, ``k`` included,
+        in order.  An image that matches candidate ``k`` matches exactly
+        these, and :func:`verify_atomicity` returns the first of them.
+        The candidates are grouped on the first call."""
+        if self._equal is None:
+            # Two images are equal exactly when they change the same
+            # words from ``base`` to the same values.
+            keys = [
+                frozenset((word, image.get(word, 0)) for word in changed)
+                for image, changed in zip(self.images, self.changed)
+            ]
+            groups: Dict[FrozenSet[Tuple[int, int]], List[int]] = {}
+            for index, key in enumerate(keys):
+                groups.setdefault(key, []).append(index)
+            self._equal = [tuple(groups[key]) for key in keys]
+        return self._equal[k]
 
 
 Candidates = Union[Sequence[Dict[int, int]], CandidateImages]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class SimulationHalted(RuntimeError):
@@ -88,21 +88,29 @@ class Engine:
         """Run ``callback`` at absolute ``cycle`` (must not be in the past)."""
         self.schedule(cycle - self.cycle, callback)
 
-    def cancel(self, cycle: int, match: Callable[[Callable[[], None]], bool]) -> bool:
-        """Remove the earliest-scheduled pending event at ``cycle`` whose
-        callback satisfies ``match``; returns False when there is none.
+    def cancel(self, cycle: int, callbacks: Sequence[Callable[[], None]]) -> bool:
+        """Remove, for each of ``callbacks``, the earliest-scheduled
+        pending event at ``cycle`` that runs it (matched by identity).
+        Returns False, removing nothing, unless every one is found.
 
         Linear in the number of pending events: the simulator calls it
-        once per parked think chain, not per cycle.
+        once per think-chain window it parks a core for (with the
+        window's one or two link-run completions), not per cycle.
         """
         heap = self._heap
-        found = None
+        found: List[Optional[Tuple[int, int, Callable[[], None]]]] = [None] * len(callbacks)
         for entry in heap:
-            if entry[0] == cycle and match(entry[2]) and (found is None or entry[1] < found[1]):
-                found = entry
-        if found is None:
+            if entry[0] != cycle:
+                continue
+            for index, callback in enumerate(callbacks):
+                if entry[2] is callback:
+                    best = found[index]
+                    if best is None or entry[1] < best[1]:
+                        found[index] = entry
+        if None in found:
             return False
-        heap.remove(found)
+        for entry in found:
+            heap.remove(entry)
         heapq.heapify(heap)
         return True
 

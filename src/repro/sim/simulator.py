@@ -7,12 +7,14 @@ whenever every core is stalled, so long NVM latencies cost nothing to
 simulate.
 
 A core that only waits on a think chain is parked (``OooCore.park``):
-it leaves the tick list until its window ends.  While a parked core and
-a live core coexist the loop steps one cycle at a time, as the parked
-core's own schedule would make it; once every live core is parked it
-jumps to the next event, the earliest window end or the cycle budget.
-A halt or a budget error first rebuilds every parked core
-(``OooCore.unpark``), so the state it leaves is the one ticking would
+it leaves the tick list until its window ends.  Its ROB holds one run
+of links, or a chain's head run, completed entries and the next chain's
+run; the loop treats both alike, by the cycle ``park`` returns.  While
+a parked core and a live core coexist the loop steps one cycle at a
+time, as the parked core's own schedule would make it; once every live
+core is parked it jumps to the next event, the earliest window end or
+the cycle budget.  A halt or a budget error first rebuilds every parked
+core (``OooCore.unpark``), so the state it leaves is the one ticking would
 have left.  No parking happens under a live tracer.
 """
 

@@ -9,9 +9,11 @@ runs the *same* recovery predicate the dynamic fault campaign uses
 
 * **atomicity** — the recovered image equals the image after some whole
   number of committed transactions;
-* **durability** — that number lies within ``[sealed, executed]``: every
-  commit whose durability promise was made (its fence retired) survives,
-  and no transaction that never committed appears.
+* **durability** — some number of transactions it matches lies within
+  ``[sealed, executed]`` (a transaction that leaves the image unchanged
+  makes two such numbers match): every commit whose durability promise
+  was made (its fence retired) survives, and no transaction that never
+  committed appears.
 
 State-space reductions (all sound): persist-equivalent line versions
 collapse, positions with identical crash-state digests are checked once,
@@ -221,7 +223,14 @@ def verify_instruction_trace(
             return ("V001", verdict.error, verdict.k)
         sealed = state.commits_sealed()
         executed = state.commits_executed()
-        if not sealed <= verdict.k <= executed:
+        # The recovered image matches every candidate equal to the first
+        # one it matched (``verdict.k``), and any of them in range keeps
+        # the promise.  The range belongs to the position, so it stays
+        # out of the memoized verdict.
+        if not (
+            sealed <= verdict.k <= executed
+            or any(sealed <= k <= executed for k in candidates.equal_to(verdict.k))
+        ):
             return (
                 "V002",
                 f"recovered image corresponds to {verdict.k} committed "

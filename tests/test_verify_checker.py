@@ -17,8 +17,11 @@ from collections import Counter
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.faults.campaign import resolve_workload
 from repro.isa.instructions import Kind
-from repro.lint import lint_instruction_trace
+from repro.lint import lint_instruction_trace, mutate
+from repro.lint.ir import build_ir
+from repro.lint.profiles import profile_for
 from repro.lint.runner import layout_for_thread, lower_for_lint
 from repro.verify import (
     VERIFY_RULES,
@@ -28,6 +31,9 @@ from repro.verify import (
     verify_instruction_trace,
     verify_op_traces,
 )
+from repro.verify.checker import verify_workload
+from repro.verify.model import derive_candidates
+from repro.workloads.base import generate_traces
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 
 FAILURE_SAFE = tuple(s for s in Scheme if s.failure_safe)
@@ -195,3 +201,80 @@ def test_report_json_shape():
     wrapped = json.loads(render_json([report, report]))
     assert len(wrapped["results"]) == 2
     assert wrapped["results"][0] == doc
+
+
+# -- durability with equal candidates -------------------------------------------------
+#
+# A committed transaction that leaves the data image unchanged makes two
+# candidates equal.  Recovery then matches both, and the durability
+# check must accept the crash point when either lies in [sealed,
+# executed], not judge it by the first match alone.
+
+
+def _candidates(lowered, layout, initial_image, scheme):
+    ir = build_ir(lowered, tx_marks=profile_for(scheme).tx_marks)
+    return derive_candidates(ir, layout, initial_image)
+
+
+def _equal_first_candidates(scheme):
+    """The clean QE stream over an initial image that already holds what
+    its first transaction writes, so candidates 0 and 1 are equal."""
+    op_trace = clean_op_trace()
+    lowered, layout = lower_for_lint(op_trace, scheme)
+    image = dict(_candidates(lowered, layout, op_trace.initial_image, scheme)[1])
+    candidates = _candidates(lowered, layout, image, scheme)
+    assert candidates[0] == candidates[1] != candidates[2]
+    return lowered, layout, image
+
+
+@pytest.mark.parametrize("scheme", FAILURE_SAFE, ids=str)
+def test_a_commit_that_leaves_the_image_unchanged_verifies_clean(scheme):
+    """AT at init_ops 6 commits a transaction that changes no word: its
+    derived candidates 0 and 1 are equal."""
+    (op_trace,) = generate_traces(
+        resolve_workload("AT"), threads=1, seed=7, init_ops=6, sim_ops=3
+    )
+    lowered, layout = lower_for_lint(op_trace, scheme)
+    candidates = _candidates(lowered, layout, op_trace.initial_image, scheme)
+    assert candidates[0] == candidates[1]
+    report = verify_workload(scheme, "AT", threads=1, seed=7, init_ops=6, sim_ops=3)
+    assert report.clean, render_text(report)
+
+
+@pytest.mark.parametrize("scheme", FAILURE_SAFE, ids=str)
+def test_equal_candidates_across_a_sealed_commit_give_no_finding(scheme):
+    """Once the first commit seals, recovery lands on candidates 0 and 1
+    at once; 1 is in range."""
+    lowered, layout, image = _equal_first_candidates(scheme)
+    report = verify_instruction_trace(lowered, scheme, layout=layout, initial_image=image)
+    assert report.clean, render_text(report)
+
+
+@pytest.mark.parametrize("scheme", (Scheme.PMEM, Scheme.ATOM, Scheme.PROTEUS), ids=str)
+def test_an_image_below_the_sealed_commits_still_gives_v002(scheme):
+    """With every data clwb dropped, a sealed commit's writes need not
+    survive: the recovered image matches only candidate 0.  Over equal
+    candidates 0 and 1, the finding reports the first, once two commits
+    have sealed."""
+    op_trace = clean_op_trace()
+    lowered, layout = lower_for_lint(op_trace, scheme)
+    lossy = mutate.drop_clwb_tagged_every(lowered, "", 1)
+    report = verify_instruction_trace(
+        lossy, scheme, layout=layout, initial_image=op_trace.initial_image
+    )
+    durability = [finding for finding in report.findings if finding.rule == "V002"]
+    assert durability
+    assert all(finding.k < finding.sealed for finding in durability)
+    assert any(finding.k == 0 and finding.sealed == 1 for finding in durability)
+    assert durability[0].message == (
+        f"recovered image corresponds to {durability[0].k} committed "
+        f"transactions, but the crash point requires "
+        f"{durability[0].sealed}..{durability[0].executed_commits} (sealed "
+        f"commits must survive; never-committed ones must not appear)"
+    )
+
+    _, _, image = _equal_first_candidates(scheme)
+    report = verify_instruction_trace(lossy, scheme, layout=layout, initial_image=image)
+    durability = [finding for finding in report.findings if finding.rule == "V002"]
+    assert durability
+    assert all(finding.k == 0 and finding.sealed >= 2 for finding in durability)
