@@ -19,6 +19,7 @@ from typing import Callable, Tuple
 
 from repro.core.schemes import Scheme
 from repro.faults.campaign import resolve_workload
+from repro.isa.instructions import Kind
 from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint import mutate
 from repro.lint.runner import lower_for_lint
@@ -41,6 +42,18 @@ def clean_trace(scheme: str, workload: str = "QE", seed: int = 7) -> Instruction
     """A correct lowered stream for ``scheme`` (cached; treat as frozen)."""
     lowered, _ = lower_for_lint(clean_op_trace(workload, seed), Scheme.parse(scheme))
     return lowered
+
+
+def flush_after_fence(trace: InstructionTrace) -> InstructionTrace:
+    """Repeat the first data ``clwb`` right after the fence that follows
+    it: the repeat flushes a line the fence already wrote back (and a
+    ``tx-end`` already drained), so it is redundant (W101)."""
+    target = next(
+        i for i, ins in enumerate(trace) if ins.kind is Kind.CLWB and ins.tag == ""
+    )
+    fence = next(i for i in range(target + 1, len(trace)) if trace[i].kind.is_fence)
+    order = list(range(fence + 1)) + [target] + list(range(fence + 1, len(trace)))
+    return mutate.rebuild(trace, order)
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,12 @@ CORPUS: Tuple[CorpusCase, ...] = (
         lambda t: mutate.duplicate_clwb_tagged(t, ""),
         ("W101",),
     ),
+    CorpusCase(
+        "pmem-flush-after-fence",
+        "pmem",
+        flush_after_fence,
+        ("W101",),
+    ),
     # -- Proteus (software-supported hardware logging) ---------------------
     CorpusCase(
         "proteus-drop-all-log-flushes",
@@ -163,6 +182,12 @@ CORPUS: Tuple[CorpusCase, ...] = (
         "atom",
         mutate.orphan_tx_end,
         ("P004",),
+    ),
+    CorpusCase(
+        "atom-flush-after-tx-end",
+        "atom",
+        flush_after_fence,
+        ("W101",),
     ),
 )
 

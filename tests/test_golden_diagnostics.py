@@ -9,6 +9,7 @@ SARIF, and each rendering is reduced to a SHA-256.  The reports cover
 * persist-verify on every case of ``tests.corpus.VERIFY_CORPUS``, with
   the report's wall time zeroed first, since it is the only field that
   is not deterministic;
+* persist-lint on every case of ``tests.corpus.VERIFY_CORPUS`` too;
 * persist-lint on every ``Scheme`` x ``WORKLOADS`` stream, at a small
   sizing that keeps each workload's default think chains (the corpus
   lowers with ``think_instructions=0``).
@@ -64,7 +65,8 @@ def _renderings(text: str, json_doc: str, sarif_doc: Dict) -> Dict[str, str]:
 
 
 def corpus_digests(case) -> Dict[str, str]:
-    """Digests of the lint reports on one ``CORPUS`` case."""
+    """Digests of the lint reports on one ``CORPUS`` or ``VERIFY_CORPUS``
+    case."""
     result = lint_instruction_trace(case.buggy_trace(), case.scheme, workload=case.name)
     return _renderings(
         lint_text(result, verbose=True), lint_json([result]), lint_to_sarif([result])
@@ -109,6 +111,10 @@ REPORTS: Dict[str, Callable[[], Dict[str, str]]] = {
     **{f"corpus/{c.name}": functools.partial(corpus_digests, c) for c in CORPUS},
     **{
         f"verify-corpus/{c.name}": functools.partial(verify_corpus_digests, c)
+        for c in VERIFY_CORPUS
+    },
+    **{
+        f"lint-verify-corpus/{c.name}": functools.partial(corpus_digests, c)
         for c in VERIFY_CORPUS
     },
     **{
