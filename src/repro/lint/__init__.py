@@ -29,8 +29,7 @@ from repro.lint.diagnostics import (
     Severity,
     WARNING_CODES,
 )
-from repro.lint.engine import Analyzer, PersistState
-from repro.lint.ir import LintIR, TxSpan, build_ir
+from repro.lint.engine import Analyzer
 from repro.lint.profiles import PROFILES, Profile, profile_for
 from repro.lint.report import (
     JSON_SCHEMA_VERSION,
@@ -55,13 +54,13 @@ from repro.lint.sarif import (
     sarif_run,
     validate_sarif,
 )
+from repro.persistence.stream import PersistState
 
 __all__ = [
     "Analyzer",
     "Diagnostic",
     "ERROR_CODES",
     "JSON_SCHEMA_VERSION",
-    "LintIR",
     "LintResult",
     "PROFILES",
     "PersistState",
@@ -71,9 +70,7 @@ __all__ = [
     "SARIF_SCHEMA",
     "SARIF_VERSION",
     "Severity",
-    "TxSpan",
     "WARNING_CODES",
-    "build_ir",
     "layout_for_thread",
     "lint_instruction_trace",
     "lint_op_traces",

@@ -1,30 +1,25 @@
-"""The persist-state dataflow engine.
+"""The persist-lint rule engine.
 
-Walks one thread's lowered instruction stream in order, tracking for
-every 64 B cache line how far toward durability it has progressed::
+Walks one thread's lowered instruction stream in order through the
+persistency model persist-verify uses too
+(:class:`~repro.persistence.stream.StreamState`): at every instruction
+the rules run first and read each line's
+:class:`~repro.persistence.stream.PersistState` from the model, then the
+model applies the instruction.  ``tx-end`` goes the other way round,
+because its checks read the state the commit drained.
 
-    CLEAN -> DIRTY -> PENDING -> FENCED -> DURABLE
-            (store)   (clwb)    (sfence)  (pcommit)
-
-Under ADR (every scheme except PMEM+pcommit) ``FENCED`` already means
-durable: the WPQ is inside the persistence domain, so a fenced write-back
-survives power loss.  Under PMEM+pcommit durability additionally needs
-the ``pcommit`` drain.
-
-On top of the per-line machine the engine tracks the scheme-specific
-structures the rules need: software undo-log entries (reconstructed from
-the log-copy/header stores and mapped back to the data line they cover),
-Proteus ``log-load``/``log-flush`` pairs per 32 B block, the logFlag
-transition state, and per-transaction write sets.  Rules fire inline
-while walking; coverage violations that may still be *ordering* bugs
-(the log shows up later) are deferred and resolved at the commit point —
-that is what distinguishes P002 (log too late) from P001 (no log at
-all).
+Rule state that does not track durability stays here: software undo-log
+entries (reconstructed from the log-copy/header stores and mapped back
+to the data line they cover), Proteus ``log-load``/``log-flush`` pairs
+per 32 B block, the logFlag transition state, transaction shape and
+per-transaction write sets.  Coverage violations that may still be
+*ordering* bugs (the log shows up later) are deferred and resolved at
+the commit point — that is what distinguishes P002 (log too late) from
+P001 (no log at all).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -48,16 +43,7 @@ from repro.isa.instructions import (
 from repro.isa.trace import InstructionTrace
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.profiles import Profile
-
-
-class PersistState(enum.IntEnum):
-    """How far a cache line has progressed toward durability."""
-
-    CLEAN = 0
-    DIRTY = 1
-    PENDING = 2
-    FENCED = 3
-    DURABLE = 4
+from repro.persistence.stream import PersistState, StreamState
 
 
 @dataclass
@@ -91,9 +77,10 @@ class Analyzer:
         self.layout = layout
         self.thread_id = thread_id
         self.diagnostics: List[Diagnostic] = []
+        self.model = StreamState(profile.scheme, layout)
+        self._logging = profile.logging
+        self._tx_marks = profile.tx_marks
 
-        self._line_state: Dict[int, PersistState] = {}
-        self._line_last_store: Dict[int, int] = {}
         #: current transaction (explicit marks); None outside.
         self._active_txid: Optional[int] = None
         self._active_begin = -1
@@ -128,32 +115,19 @@ class Analyzer:
                 )
             )
 
-    @property
-    def _durable_floor(self) -> PersistState:
-        """Minimum per-line state that counts as durable."""
-        if self.profile.requires_pcommit:
-            return PersistState.DURABLE
-        return PersistState.FENCED
-
-    def _state(self, line: int) -> PersistState:
-        return self._line_state.get(line, PersistState.CLEAN)
-
-    def _is_durable(self, line: int) -> bool:
-        return self._state(line) >= self._durable_floor
-
     def _entry_durable(self, entry: SwLogEntry) -> bool:
-        return bool(entry.log_lines) and all(
-            self._is_durable(line) for line in entry.log_lines
-        )
+        durable = self.model.durable
+        return bool(entry.log_lines) and all(durable(line) for line in entry.log_lines)
 
     # -- main walk -------------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
         """Walk the stream and return the collected diagnostics.
 
-        An ALU carries no persistency obligation, so the walk steps over
-        it before any call (most of a lowered stream is think-chain
-        ALUs); indices still count every instruction.
+        An ALU carries no persistency obligation and leaves the model
+        unchanged, so the walk steps over it before any call (most of a
+        lowered stream is think-chain ALUs); indices still count every
+        instruction.
         """
         alu = Kind.ALU
         visit = self._visit
@@ -164,24 +138,35 @@ class Analyzer:
         return self.diagnostics
 
     def _visit(self, index: int, instr: Instruction) -> None:
+        """Run the rules on one instruction, then apply it to the model
+        (``tx-end`` the other way round)."""
         kind = instr.kind
+        model = self.model
         if kind is Kind.STORE:
             self._visit_store(index, instr)
-        elif kind in (Kind.CLWB, Kind.CLFLUSHOPT):
-            self._visit_clwb(index, instr)
-        elif kind in (Kind.SFENCE, Kind.MFENCE):
-            self._apply_fence(PersistState.FENCED)
+            model.store(index, instr)
+        elif kind is Kind.LOAD:
+            model.load(instr)
+        elif kind is Kind.CLWB or kind is Kind.CLFLUSHOPT:
+            line = cache_line_of(instr.addr)
+            self._visit_clwb(index, instr, line)
+            model.flush(line)
+        elif kind is Kind.SFENCE or kind is Kind.MFENCE:
+            model.fence()
         elif kind is Kind.PCOMMIT:
-            self._apply_pcommit()
-        elif kind is Kind.TX_BEGIN:
-            self._visit_tx_begin(index, instr)
-        elif kind is Kind.TX_END:
-            self._visit_tx_end(index, instr)
+            model.pcommit()
         elif kind is Kind.LOG_LOAD:
             self._visit_log_load(index, instr)
+            model.log_load(index, instr)
         elif kind is Kind.LOG_FLUSH:
             self._visit_log_flush(index, instr)
-        # ALU / LOAD / LOG_SAVE carry no persistency obligations.
+            model.log_flush(index, instr)
+        elif kind is Kind.TX_BEGIN:
+            self._visit_tx_begin(index, instr)
+            model.tx_begin(instr.txid)
+        elif kind is Kind.TX_END:
+            model.tx_end()
+            self._visit_tx_end(index, instr)
 
     # -- stores ----------------------------------------------------------------
 
@@ -189,22 +174,16 @@ class Analyzer:
         region = region_of(instr.addr, self.layout)
         if region != REGION_FLAG:
             self._check_flag_fenced(index, instr)
-        if region == REGION_FLAG and self.profile.logging == "software":
+        if region == REGION_FLAG and self._logging == "software":
             self._visit_flag_store(index, instr)
         elif region == REGION_SWLOG:
             self._visit_sw_log_store(index, instr)
         elif region == REGION_DATA:
             self._visit_data_store(index, instr)
-        self._mark_dirty(index, instr)
-
-    def _mark_dirty(self, index: int, instr: Instruction) -> None:
-        for line in expand_lines(instr.addr, instr.size):
-            self._line_state[line] = PersistState.DIRTY
-            self._line_last_store[line] = index
 
     def _visit_data_store(self, index: int, instr: Instruction) -> None:
         txid = instr.txid
-        in_tx = self._active_txid is not None if self.profile.tx_marks else txid != 0
+        in_tx = self._active_txid is not None if self._tx_marks else txid != 0
         if not in_tx:
             self._report(
                 "P004",
@@ -217,9 +196,9 @@ class Analyzer:
             return
         for line in expand_lines(instr.addr, instr.size):
             self._tx_written[line] = index
-        if self.profile.logging == "software":
+        if self._logging == "software":
             self._check_sw_coverage(index, instr)
-        elif self.profile.logging == "sshl":
+        elif self._logging == "sshl":
             self._check_sshl_coverage(index, instr)
 
     def _check_sw_coverage(self, index: int, instr: Instruction) -> None:
@@ -271,7 +250,7 @@ class Analyzer:
         if (
             self._flag_store is not None
             and not self._flag_reported
-            and not self._is_durable(flag_line)
+            and not self.model.durable(flag_line)
         ):
             self._report(
                 "P003",
@@ -306,12 +285,12 @@ class Analyzer:
     def _check_flag_fenced(self, index: int, instr: Instruction) -> None:
         """P003: a logFlag transition must be fenced durable before any
         other persistent store executes."""
-        if self.profile.logging != "software":
+        if self._logging != "software":
             return
         if self._flag_store is None or self._flag_reported:
             return
         flag_line = cache_line_of(self.layout.logflag_addr)
-        if not self._is_durable(flag_line):
+        if not self.model.durable(flag_line):
             self._report(
                 "P003",
                 index,
@@ -323,24 +302,12 @@ class Analyzer:
             self._flag_reported = True
 
     def _commit_software(self, index: int) -> None:
-        self._check_commit_durability(index, self._durable_floor)
+        self._check_commit_durability(index, self.model.durable_state)
         self._resolve_pending(
             index, lambda unit: self._coverage_sw.get(unit) is not None
         )
         self._coverage_sw.clear()
         self._tx_written.clear()
-
-    # -- fences ----------------------------------------------------------------
-
-    def _apply_fence(self, to_state: PersistState) -> None:
-        for line, state in self._line_state.items():
-            if state is PersistState.PENDING:
-                self._line_state[line] = to_state
-
-    def _apply_pcommit(self) -> None:
-        for line, state in self._line_state.items():
-            if state is PersistState.FENCED:
-                self._line_state[line] = PersistState.DURABLE
 
     # -- transactions (explicit marks) -----------------------------------------
 
@@ -358,10 +325,8 @@ class Analyzer:
         self._active_begin = index
 
     def _visit_tx_end(self, index: int, instr: Instruction) -> None:
-        # tx-end has fence retirement semantics: pending write-backs are
-        # complete (and, commit being the durability point, drained).
-        self._apply_fence(PersistState.FENCED)
-        self._apply_pcommit()
+        # The model has applied the tx-end: pending write-backs are
+        # complete and, commit being the durability point, drained.
         if self._active_txid is None:
             self._report(
                 "P004",
@@ -390,8 +355,9 @@ class Analyzer:
     def _check_commit_durability(self, index: int, floor: PersistState) -> None:
         """P005: every line the transaction wrote must have reached
         ``floor`` by the commit point."""
+        state = self.model.state
         for line, store_index in sorted(self._tx_written.items()):
-            if self._state(line) < floor:
+            if state(line) < floor:
                 self._report(
                     "P005",
                     index,
@@ -427,12 +393,9 @@ class Analyzer:
 
     # -- flush-class instructions ----------------------------------------------
 
-    def _visit_clwb(self, index: int, instr: Instruction) -> None:
-        line = cache_line_of(instr.addr)
-        state = self._state(line)
-        if state is PersistState.DIRTY:
-            self._line_state[line] = PersistState.PENDING
-        else:
+    def _visit_clwb(self, index: int, instr: Instruction, line: int) -> None:
+        state = self.model.state(line)
+        if state is not PersistState.DIRTY:
             self._report(
                 "W101",
                 index,
@@ -488,12 +451,12 @@ class Analyzer:
                 f"tx-begin {self._active_txid} is never closed by a tx-end",
                 txid=self._active_txid,
             )
-        if self.profile.logging == "software":
+        if self._logging == "software":
             flag_line = cache_line_of(self.layout.logflag_addr)
             if (
                 self._flag_store is not None
                 and not self._flag_reported
-                and not self._is_durable(flag_line)
+                and not self.model.durable(flag_line)
             ):
                 self._report(
                     "P003",
@@ -513,9 +476,5 @@ class Analyzer:
                 f"log-load of block {block:#x} is never flushed",
                 addr=block,
             )
-        floor = (
-            PersistState.PENDING
-            if self.profile.tx_marks
-            else self._durable_floor
-        )
+        floor = PersistState.PENDING if self._tx_marks else self.model.durable_state
         self._check_commit_durability(max(end - 1, 0), floor)

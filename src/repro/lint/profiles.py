@@ -1,10 +1,10 @@
 """Per-scheme lint profiles.
 
 A profile states *which contract a scheme's lowered stream promises*:
-which rules apply, how transactions are delimited, what grants
-durability, and at what granularity undo coverage is tracked.  The rule
-engine is generic; profiles are the only scheme-specific knowledge it
-consumes.
+which rules apply, how undo coverage is provided, how transactions are
+delimited and what grants durability.  The rule engine is generic;
+profiles are the only scheme-specific knowledge it consumes, and every
+field but the rule set follows from the scheme.
 
 * Software undo logging (PMEM, PMEM+pcommit) promises the full Figure 2
   contract: log copies durable before the body, fenced logFlag
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 from repro.core.schemes import Scheme
-from repro.isa.instructions import CACHE_LINE, LOG_GRAIN
 
 
 @dataclass(frozen=True)
@@ -33,36 +32,27 @@ class Profile:
     """The lint contract for one scheme."""
 
     scheme: Scheme
-    #: ``Scheme.logging_style``: software / sshl / hardware / none.
-    logging: str
     #: rule codes enabled for this scheme.
     rules: FrozenSet[str]
-    #: stream carries explicit ``tx-begin``/``tx-end`` marks.
-    tx_marks: bool
-    #: ``sfence`` alone does not persist; a ``pcommit`` must follow
-    #: before anything counts as durable (pre-ADR persistency domain).
-    requires_pcommit: bool
-    #: undo-coverage granularity in bytes (64 B lines for software
-    #: logging, 32 B blocks for Proteus pairs).
-    coverage_grain: int = CACHE_LINE
+
+    @property
+    def logging(self) -> str:
+        """``Scheme.logging_style``: software / sshl / hardware / none."""
+        return self.scheme.logging_style
+
+    @property
+    def tx_marks(self) -> bool:
+        """The stream carries explicit ``tx-begin``/``tx-end`` marks."""
+        return self.logging in ("sshl", "hardware")
+
+    @property
+    def requires_pcommit(self) -> bool:
+        """``sfence`` alone does not persist; a ``pcommit`` must follow
+        before anything counts as durable (pre-ADR persistency domain)."""
+        return self.scheme.uses_pcommit
 
     def enabled(self, code: str) -> bool:
         return code in self.rules
-
-
-def _profile(
-    scheme: Scheme,
-    rules: FrozenSet[str],
-    coverage_grain: int = CACHE_LINE,
-) -> Profile:
-    return Profile(
-        scheme=scheme,
-        logging=scheme.logging_style,
-        rules=rules,
-        tx_marks=scheme.logging_style in ("sshl", "hardware"),
-        requires_pcommit=scheme.uses_pcommit,
-        coverage_grain=coverage_grain,
-    )
 
 
 _SOFTWARE_RULES = frozenset({"P001", "P002", "P003", "P004", "P005", "W101"})
@@ -72,15 +62,13 @@ _UNSAFE_RULES = frozenset({"P005", "W101"})
 
 #: Scheme -> lint profile for every bundled scheme.
 PROFILES: Dict[Scheme, Profile] = {
-    Scheme.PMEM: _profile(Scheme.PMEM, _SOFTWARE_RULES),
-    Scheme.PMEM_PCOMMIT: _profile(Scheme.PMEM_PCOMMIT, _SOFTWARE_RULES),
-    Scheme.PMEM_NOLOG: _profile(Scheme.PMEM_NOLOG, _UNSAFE_RULES),
-    Scheme.PMEM_STRICT: _profile(Scheme.PMEM_STRICT, _UNSAFE_RULES),
-    Scheme.ATOM: _profile(Scheme.ATOM, _HARDWARE_RULES),
-    Scheme.PROTEUS: _profile(Scheme.PROTEUS, _SSHL_RULES, coverage_grain=LOG_GRAIN),
-    Scheme.PROTEUS_NOLWR: _profile(
-        Scheme.PROTEUS_NOLWR, _SSHL_RULES, coverage_grain=LOG_GRAIN
-    ),
+    Scheme.PMEM: Profile(Scheme.PMEM, _SOFTWARE_RULES),
+    Scheme.PMEM_PCOMMIT: Profile(Scheme.PMEM_PCOMMIT, _SOFTWARE_RULES),
+    Scheme.PMEM_NOLOG: Profile(Scheme.PMEM_NOLOG, _UNSAFE_RULES),
+    Scheme.PMEM_STRICT: Profile(Scheme.PMEM_STRICT, _UNSAFE_RULES),
+    Scheme.ATOM: Profile(Scheme.ATOM, _HARDWARE_RULES),
+    Scheme.PROTEUS: Profile(Scheme.PROTEUS, _SSHL_RULES),
+    Scheme.PROTEUS_NOLWR: Profile(Scheme.PROTEUS_NOLWR, _SSHL_RULES),
 }
 
 

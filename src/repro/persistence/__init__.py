@@ -14,6 +14,10 @@ and persist-verify (:mod:`repro.verify`) from every crash frontier of a
 lowered stream.  :func:`crash_image` builds one from an abstract
 :class:`CrashPoint` (a transaction, a :class:`Phase` and the durable
 log and data subsets); its explicit choices suit property-based tests.
+
+The static checkers share one more thing: persist-lint
+(:mod:`repro.lint`) and persist-verify walk a lowered stream through
+the same persistency model, :mod:`repro.persistence.stream`.
 """
 
 from repro.persistence.crash import (

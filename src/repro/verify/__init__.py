@@ -38,7 +38,7 @@ from repro.verify.frontier import (
     materialize,
     sample_frontiers,
 )
-from repro.verify.model import LineHistory, StreamState, derive_candidates
+from repro.verify.model import derive_candidates
 from repro.verify.report import (
     VERIFY_RULES,
     format_finding,
@@ -56,9 +56,7 @@ __all__ = [
     "Deviation",
     "Finding",
     "Frontier",
-    "LineHistory",
     "StaticAnalog",
-    "StreamState",
     "VERIFY_RULES",
     "analog_for",
     "count_frontiers",

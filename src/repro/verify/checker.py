@@ -32,14 +32,13 @@ from repro.core.codegen import ThreadLayout
 from repro.core.schemes import Scheme
 from repro.isa.instructions import Instruction, Kind
 from repro.isa.trace import InstructionTrace, OpTrace
-from repro.lint.ir import build_ir
-from repro.lint.profiles import profile_for
 from repro.lint.runner import layout_for_thread, lower_for_lint
 from repro.persistence.recovery import (
     CandidateImages,
     RecoveryVerdict,
     check_recovery,
 )
+from repro.persistence.stream import StreamState
 from repro.verify.frontier import (
     Frontier,
     count_frontiers,
@@ -47,7 +46,7 @@ from repro.verify.frontier import (
     materialize,
     sample_frontiers,
 )
-from repro.verify.model import INTERESTING_KINDS, StreamState, derive_candidates
+from repro.verify.model import INTERESTING_KINDS, derive_candidates
 
 #: Cap on reported findings per thread; enumeration continues past it
 #: only to finish the position walk's coverage accounting.
@@ -189,16 +188,14 @@ def verify_instruction_trace(
         )
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1 frontier per crash point, got {budget}")
-    profile = profile_for(scheme)
     if layout is None:
         layout = layout_for_thread(trace.thread_id)
     started = time.perf_counter()
-    ir = build_ir(trace, tx_marks=profile.tx_marks)
-    state = StreamState(scheme, profile, layout, initial_image)
+    state = StreamState(scheme, layout, initial_image)
     # Frontiers materialize as overlays over the initial image; the
     # words each candidate changes from it are found once, here.
     candidates = CandidateImages(
-        derive_candidates(ir, layout, initial_image), state.initial_image
+        derive_candidates(trace, scheme, layout, initial_image), state.initial_image
     )
     report = CheckReport(
         scheme=scheme,

@@ -21,7 +21,7 @@ Reductions applied (both sound — they only merge states with identical
 recovery verdicts, never drop reachable distinct ones):
 
 * **persist-equivalence** — line versions collapse on identical durable
-  content (done in :class:`~repro.verify.model.LineHistory`);
+  content (done in :class:`~repro.persistence.stream.LineHistory`);
 * **frontier canonicalization** — fixed lines (floor == executed) take
   their single value implicitly; two positions whose digests agree are
   enumerated once (done by the checker's position dedup).
@@ -38,7 +38,7 @@ from repro.core.codegen import REGION_DATA, REGION_SWLOG, SW_LOG_BYTES_PER_LINE
 from repro.isa.instructions import CACHE_LINE
 from repro.persistence.crash import CrashImage
 from repro.persistence.model import WORD, LogEntry
-from repro.verify.model import LineHistory, StreamState
+from repro.persistence.stream import LineHistory, StreamState
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ from repro.persistence.recovery import (
     recover,
     verify_atomicity,
 )
+from repro.persistence.stream import StreamState
 from repro.verify.frontier import iter_exhaustive, materialize
-from repro.verify.model import StreamState, derive_candidates
-from repro.lint.ir import build_ir
-from repro.lint.profiles import profile_for
+from repro.verify.model import derive_candidates
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 from tests.test_verify_overlay import full_image
 
@@ -53,12 +52,10 @@ def _enumerated_images(scheme_name: str, trace):
     scheme = Scheme.parse(scheme_name)
     op_trace = clean_op_trace()
     lowered, layout = lower_for_lint(op_trace, scheme)
-    profile = profile_for(scheme)
-    ir = build_ir(trace, tx_marks=profile.tx_marks)
-    candidates = derive_candidates(ir, layout, op_trace.initial_image)
+    candidates = derive_candidates(trace, scheme, layout, op_trace.initial_image)
     # The initial image alone would leave no committed state to compare.
     assert len(candidates) > 1
-    state = StreamState(scheme, profile, layout, op_trace.initial_image)
+    state = StreamState(scheme, layout, op_trace.initial_image)
     images = []
     for index, instr in enumerate(trace):
         state.apply(index, instr)

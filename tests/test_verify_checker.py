@@ -18,11 +18,19 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.faults.campaign import resolve_workload
-from repro.isa.instructions import Kind
+from repro.isa.instructions import (
+    Kind,
+    clwb,
+    log_flush,
+    log_load,
+    store,
+    tx_begin,
+    tx_end,
+)
+from repro.isa.trace import InstructionTrace
 from repro.lint import lint_instruction_trace, mutate
-from repro.lint.ir import build_ir
-from repro.lint.profiles import profile_for
 from repro.lint.runner import layout_for_thread, lower_for_lint
+from repro.persistence.stream import StreamState
 from repro.verify import (
     VERIFY_RULES,
     render_json,
@@ -211,18 +219,13 @@ def test_report_json_shape():
 # executed], not judge it by the first match alone.
 
 
-def _candidates(lowered, layout, initial_image, scheme):
-    ir = build_ir(lowered, tx_marks=profile_for(scheme).tx_marks)
-    return derive_candidates(ir, layout, initial_image)
-
-
 def _equal_first_candidates(scheme):
     """The clean QE stream over an initial image that already holds what
     its first transaction writes, so candidates 0 and 1 are equal."""
     op_trace = clean_op_trace()
     lowered, layout = lower_for_lint(op_trace, scheme)
-    image = dict(_candidates(lowered, layout, op_trace.initial_image, scheme)[1])
-    candidates = _candidates(lowered, layout, image, scheme)
+    image = dict(derive_candidates(lowered, scheme, layout, op_trace.initial_image)[1])
+    candidates = derive_candidates(lowered, scheme, layout, image)
     assert candidates[0] == candidates[1] != candidates[2]
     return lowered, layout, image
 
@@ -235,7 +238,7 @@ def test_a_commit_that_leaves_the_image_unchanged_verifies_clean(scheme):
         resolve_workload("AT"), threads=1, seed=7, init_ops=6, sim_ops=3
     )
     lowered, layout = lower_for_lint(op_trace, scheme)
-    candidates = _candidates(lowered, layout, op_trace.initial_image, scheme)
+    candidates = derive_candidates(lowered, scheme, layout, op_trace.initial_image)
     assert candidates[0] == candidates[1]
     report = verify_workload(scheme, "AT", threads=1, seed=7, init_ops=6, sim_ops=3)
     assert report.clean, render_text(report)
@@ -278,3 +281,35 @@ def test_an_image_below_the_sealed_commits_still_gives_v002(scheme):
     durability = [finding for finding in report.findings if finding.rule == "V002"]
     assert durability
     assert all(finding.k == 0 and finding.sealed >= 2 for finding in durability)
+
+
+# -- the log-before-data edge ---------------------------------------------------------
+
+
+def test_a_pair_covers_only_its_own_transactions_stores():
+    """A Proteus store may persist once the newest pair of its own
+    transaction covering its block has: a pair from an earlier
+    transaction covers nothing.  Transaction 2 stores with no pair, so
+    a crash may expose the store with no undo entry to roll it back."""
+    layout = layout_for_thread(0)
+    addr = next(i.addr for i in clean_trace("proteus") if i.kind is Kind.STORE)
+    trace = InstructionTrace(thread_id=0)
+    trace.extend([
+        tx_begin(1),
+        log_load(addr, txid=1),
+        log_flush(addr, txid=1, dep=1),
+        store(addr, value=1, txid=1),
+        clwb(addr, txid=1),
+        tx_end(1),
+        tx_begin(2),
+        store(addr, value=2, txid=2),
+    ])
+    state = StreamState(Scheme.PROTEUS, layout)
+    for index, instr in enumerate(trace):
+        state.apply(index, instr)
+    assert state.lines[addr & ~63].needs == [0, 1, 0]
+
+    report = verify_instruction_trace(trace, Scheme.PROTEUS, layout=layout)
+    assert [(finding.rule, finding.position) for finding in report.findings] == [
+        ("V002", len(trace) - 1)
+    ]

@@ -41,9 +41,10 @@ from repro.persistence.recovery import (
     RecoveryError,
     check_recovery,
 )
+from repro.persistence.stream import StreamState
 from repro.verify.checker import CheckReport, verify_instruction_trace
 from repro.verify.frontier import Frontier, _software_log_view, materialize
-from repro.verify.model import INTERESTING_KINDS, StreamState
+from repro.verify.model import INTERESTING_KINDS
 from repro.workloads.base import generate_traces
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 
@@ -400,9 +401,10 @@ STREAMS = [
 
 @pytest.mark.parametrize("scheme,workload", STREAMS, ids=lambda v: str(v))
 def test_alu_step_over_keeps_both_walks(scheme, workload):
-    """Visiting every ALU changes nothing: lint gives the same
-    diagnostics and verify's symbolic state the same digest and load
-    value at every position where either is read."""
+    """Visiting every ALU changes nothing: lint's one walk (its rules
+    and the persistency model they read) gives the same diagnostics,
+    and verify's symbolic state the same digest and load value at every
+    position where either is read."""
     (op_trace,) = generate_traces(resolve_workload(workload), **SIZING)
     lowered, layout = lower_for_lint(op_trace, scheme)
     profile = profile_for(scheme)
@@ -412,10 +414,12 @@ def test_alu_step_over_keeps_both_walks(scheme, workload):
     for index, instr in enumerate(lowered):
         every._visit(index, instr)
     every._finalize()
-    assert Analyzer(lowered, profile, layout).run() == every.diagnostics
+    stepped = Analyzer(lowered, profile, layout)
+    assert stepped.run() == every.diagnostics
+    assert stepped.model.digest() == every.model.digest()
 
-    stepping = StreamState(scheme, profile, layout, op_trace.initial_image)
-    visiting = StreamState(scheme, profile, layout, op_trace.initial_image)
+    stepping = StreamState(scheme, layout, op_trace.initial_image)
+    visiting = StreamState(scheme, layout, op_trace.initial_image)
     for index, instr in enumerate(lowered):
         visiting.apply(index, instr)
         if instr.kind is Kind.ALU:
