@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Re-pin the golden ``Stats``, report and trace digests.
+"""Re-pin the golden ``Stats``, report, trace and figure-report digests.
 
 Runs the matrix defined in ``tests/test_golden_stats.py`` under the
 reference engine and rewrites ``tests/golden/stats_digests.json``,
 renders every lint and verify report listed in
 ``tests/test_golden_diagnostics.py`` and rewrites
-``tests/golden/diagnostics_digests.json``, then traces the runs listed
+``tests/golden/diagnostics_digests.json``, traces the runs listed
 in ``tests/test_golden_traces.py`` and rewrites
-``tests/golden/trace_digests.json``.  Run it only after a deliberate
+``tests/golden/trace_digests.json``, then runs the evaluation that
+``tests/test_summary.py`` digests and rewrites
+``tests/golden/report_digests.json``.  Run it only after a deliberate
 change to the timing model, the tracer, a lint rule or the verifier::
 
     PYTHONPATH=src python tools/pin_golden_stats.py
 
-A refactor or speed-up must leave all three pinned files untouched.
+A refactor or speed-up must leave all four pinned files untouched.
 """
 
 import json
@@ -26,6 +28,7 @@ from tests import (  # noqa: E402
     test_golden_diagnostics,
     test_golden_stats,
     test_golden_traces,
+    test_summary,
 )
 
 
@@ -55,6 +58,13 @@ def main() -> int:
         "SHA-256 of the Chrome-trace JSON and the summary JSON of each "
         "traced run; regenerate with tools/pin_golden_stats.py",
         test_golden_traces.compute_digests(),
+    )
+    _write(
+        test_summary.GOLDEN_PATH,
+        "SHA-256 of each figure's EvaluationResult.report() and of the "
+        "scorecard from run_all(threads=1, scale=0.05); regenerate with "
+        "tools/pin_golden_stats.py",
+        test_summary.compute_digests(),
     )
     return 0
 
