@@ -36,11 +36,11 @@ from repro.core.codegen import (
     REGION_FLAG,
     REGION_HWLOG,
     REGION_SWLOG,
-    SW_LOG_BYTES_PER_LINE,
+    CodeGenerator,
     region_of,
 )
 from repro.core.schemes import Scheme
-from repro.isa.instructions import CACHE_LINE, FENCE_KINDS, Kind, expand_lines
+from repro.isa.instructions import CACHE_LINE, Kind
 from repro.isa.trace import OpTrace
 from repro.persistence.crash import CrashImage
 from repro.persistence.model import LogEntry, build_functional_txs, image_after
@@ -56,8 +56,8 @@ class ThreadFunctional:
     Precomputes everything the tracker needs to interpret machine events:
     the functional transactions, every candidate durable image, the
     per-line word universe, and — for software logging — the map from
-    software-log cache lines back to the log entries they carry
-    (mirroring the code generator's circular slot cursor).
+    software-log cache lines back to the log entries they carry (taken
+    from the code generator's own slot allocator).
     """
 
     def __init__(
@@ -93,42 +93,20 @@ class ThreadFunctional:
             frozenset(tx.written_lines) for tx in self.txs
         ]
         self._covering_cache: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        #: software logging: per-tx list of (payload_line, header_line,
-        #: entry_index-or-None) slot records, in codegen emission order.
-        self.sw_slots: List[List[Tuple[int, int, Optional[int]]]] = []
+        #: software logging: per-tx list of (payload_line, header_line)
+        #: slots; slot i carries the transaction's log entry i.
+        self.sw_slots: List[List[Tuple[int, int]]] = []
         if scheme.is_software and scheme.failure_safe:
-            self._build_sw_slot_map(op_trace)
-
-    def _build_sw_slot_map(self, op_trace: OpTrace) -> None:
-        """Mirror the code generator's circular software-log cursor.
-
-        Codegen copies every candidate-line occurrence into the next slot
-        (no static dedup); the functional model keeps only the first
-        occurrence per line.  Duplicate copies therefore map to ``None``.
-        """
-        layout = self.layout
-        cursor = (
-            self.sw_log_cursor
-            if self.sw_log_cursor is not None
-            else layout.sw_log_base
-        )
-        end = layout.sw_log_base + layout.sw_log_size
-        for tx in op_trace.transactions():
-            logged: Dict[int, int] = {}
-            records: List[Tuple[int, int, Optional[int]]] = []
-            for base, size in tx.log_candidates:
-                for line in expand_lines(base, size):
-                    slot = cursor
-                    cursor += SW_LOG_BYTES_PER_LINE
-                    if cursor >= end:
-                        cursor = layout.sw_log_base
-                    if line in logged:
-                        index: Optional[int] = None
-                    else:
-                        index = len(logged)
-                        logged[line] = index
-                    records.append((slot, slot + CACHE_LINE, index))
-            self.sw_slots.append(records)
+            generator = CodeGenerator(scheme, self.layout, self.thread_id)
+            if sw_log_cursor is not None:
+                generator.sw_log_cursor = sw_log_cursor
+            self.sw_slots = [
+                [
+                    (slot, slot + CACHE_LINE)
+                    for _, slot in generator.alloc_sw_log_slots(tx)
+                ]
+                for tx in op_trace.transactions()
+            ]
 
     # -- functional lookups ----------------------------------------------------
 
@@ -397,11 +375,9 @@ class DurabilityTracker:
             if index >= len(model.sw_slots):
                 continue
             tx = model.txs[index]
-            for payload, header, entry_idx in model.sw_slots[index]:
-                if entry_idx is None:
-                    continue
+            for entry, (payload, header) in zip(tx.log_entries, model.sw_slots[index]):
                 if payload in state.durable_sw_lines and header in state.durable_sw_lines:
-                    entries.append(tx.log_entries[entry_idx])
+                    entries.append(entry)
         return entries
 
     def build_crash_image(
@@ -493,7 +469,3 @@ class DurabilityTracker:
                     durable.pop(word, None)
                 else:
                     durable[word] = value
-
-
-#: re-export used by the harness for fence-retire trigger counting.
-FENCE_RETIRE_KINDS = FENCE_KINDS
