@@ -59,36 +59,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.schema import (  # noqa: E402  (needs the path insert)
+from repro.analysis.figures import (  # noqa: E402  (needs the path insert)
+    REGISTRY,
+    run_figures,
+)
+from repro.bench.schema import (  # noqa: E402
     RESULTS_SCHEMA_VERSION as TRAJECTORY_SCHEMA_VERSION,
 )
-
-#: figure/table name -> repro.analysis function name (tier-1 set).
-FIGURES = {
-    "fig6": "fig6_speedup_nvm",
-    "fig7": "fig7_frontend_stalls",
-    "fig8": "fig8_nvm_writes",
-    "fig9": "fig9_slow_nvm",
-    "fig10": "fig10_dram",
-    "fig11": "fig11_logq_sweep",
-    "fig12": "fig12_lpq_sweep",
-    "table3": "table3_large_transactions",
-    "table4": "table4_llt_miss_rate",
-}
-
-#: Figures that share one underlying sweep.  Within a single process the
-#: runner memo serves later figures of a group from the first one's
-#: cells, so only the first pays the sweep's wall time; the rest are
-#: recorded ``derived`` (their near-zero wall time is attribution, not a
-#: measurement — the gate and dashboard must not read it as a perf win).
-SWEEP_GROUPS = {
-    "fig6": "fast-nvm-eval",
-    "fig7": "fast-nvm-eval",
-    "fig8": "fast-nvm-eval",
-    "table4": "fast-nvm-eval",
-    "fig9": "slow-nvm-eval",
-    "fig10": "dram-eval",
-}
 
 
 def _git_head() -> str:
@@ -101,28 +78,23 @@ def _git_head() -> str:
         return "unknown"
 
 
-def run_figures(threads: int, scale: float, seed: int, names=None) -> list:
-    """Run each figure once; return per-figure timing + metric records.
+def record_figures(threads: int, scale: float, seed: int, names=None) -> list:
+    """Run each catalog figure once; return per-figure timing + metric
+    records.
 
-    The first figure of each sweep group pays the sweep; the rest reuse
-    its cells through the runner memo and are marked ``derived`` with a
-    pointer at the producing figure, so wall-time consumers know their
-    near-zero timing is shared attribution rather than a measurement.
+    The first figure run of each shared sweep (``FigureSpec.sweep``)
+    pays the sweep; the rest reuse its cells through the runner memo and
+    are marked ``derived`` with a pointer at the producing figure, so
+    wall-time consumers know their near-zero timing is shared
+    attribution rather than a measurement (the gate and dashboard must
+    not read it as a perf win).
     """
-    import repro.analysis as analysis
-
     records = []
     group_producer = {}
-    for name, function_name in FIGURES.items():
-        if names and name not in names:
-            continue
-        function = getattr(analysis, function_name)
-        kwargs = {"scale": scale, "seed": seed}
-        if name != "table3":  # table3 sweeps tx sizes single-threaded
-            kwargs["threads"] = threads
-        start = time.perf_counter()
-        result = function(**kwargs)
+    start = time.perf_counter()
+    for spec, result in run_figures(names, threads, scale, seed):
         elapsed = time.perf_counter() - start
+        name = spec.name
         record = {
             "figure": name,
             "title": result.title,
@@ -132,16 +104,16 @@ def run_figures(threads: int, scale: float, seed: int, names=None) -> list:
                 for key, value in result.measured_summary.items()
             },
         }
-        group = SWEEP_GROUPS.get(name)
-        producer = group_producer.get(group)
-        if group is not None and producer is None:
-            group_producer[group] = name
+        producer = group_producer.get(spec.sweep)
+        if spec.sweep is not None and producer is None:
+            group_producer[spec.sweep] = name
         elif producer is not None:
             record["derived"] = True
             record["derived_from"] = producer
         tag = f"(from {producer})" if record.get("derived") else ""
         print(f"  {name:<8} {elapsed:8.2f}s  {result.title} {tag}".rstrip())
         records.append(record)
+        start = time.perf_counter()
     return records
 
 
@@ -431,7 +403,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default=None,
                         help="run label (default: short git HEAD)")
     parser.add_argument("--figures", nargs="*", default=None,
-                        choices=sorted(FIGURES), metavar="FIG",
+                        choices=sorted(REGISTRY), metavar="FIG",
                         help="subset of figures to run (default: all)")
     parser.add_argument("--fresh", action="store_true",
                         help="start a new trajectory instead of appending")
@@ -511,7 +483,7 @@ def main(argv=None) -> int:
     if args.compare_verify:
         verify_comparison = compare_verify(args.seed, args.verify_budget)
     start = time.perf_counter()
-    figures = run_figures(args.threads, args.scale, args.seed, args.figures)
+    figures = record_figures(args.threads, args.scale, args.seed, args.figures)
     total = time.perf_counter() - start
     print(f"  {runner.describe()}")
 
@@ -549,6 +521,7 @@ def main(argv=None) -> int:
     if verify_comparison is not None:
         record["verify_comparison"] = verify_comparison
     doc["runs"].append(record)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out} ({len(doc['runs'])} run"
           f"{'s' if len(doc['runs']) != 1 else ''}, "

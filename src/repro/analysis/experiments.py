@@ -7,7 +7,9 @@ whole batch to a :class:`~repro.parallel.runner.SweepRunner` (process
 fan-out + content-addressed result cache; see ``docs/architecture.md``),
 and assembles an :class:`EvaluationResult` whose ``report()`` prints the
 same rows/series the paper reports, next to the paper's published
-values.
+values.  The figure catalog (:mod:`repro.analysis.figures`) declares
+each function; its published numbers come from
+:data:`repro.bench.reference.PAPER_REFERENCE`.
 
 Cells repeated within a process — figures 6, 7 and 8 all use the
 fast-NVM evaluation — are simulated once and shared via the runner's
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_comparison, format_table
 from repro.core.schemes import BASELINE, FIGURE_ORDER, Scheme
@@ -167,6 +169,17 @@ def _runner_notes(runner: SweepRunner) -> List[str]:
     return runner.quarantine_notes()
 
 
+def _paper(figure: str, order: Optional[Sequence[str]] = None) -> Dict[str, float]:
+    """A figure's published numbers, in ``order`` (default: the
+    catalog's metric order), for its paper-vs-measured block."""
+    # Imported at call time: repro.bench's package init imports the
+    # figure catalog, which imports this module.
+    from repro.bench.reference import PAPER_REFERENCE
+
+    entries = PAPER_REFERENCE[figure]
+    return {metric: entries[metric].value for metric in (order or entries)}
+
+
 def evaluation_cells(
     config: SystemConfig,
     schemes: Sequence[Scheme] = FIGURE_ORDER,
@@ -251,14 +264,6 @@ def _speedup_rows(
 # Figure 6: speedup on fast NVMM
 # ----------------------------------------------------------------------------
 
-FIG6_PAPER = {
-    "PMEM+pcommit": 0.79,
-    "ATOM": 1.33,
-    "Proteus": 1.46,
-    "PMEM+nolog": 1.51,
-}
-
-
 def fig6_speedup_nvm(
     threads: int = DEFAULT_THREADS,
     scale: Optional[float] = None,
@@ -278,7 +283,7 @@ def fig6_speedup_nvm(
         title="Figure 6: speedup on NVMM (baseline: PMEM software logging)",
         columns=benchmarks + ["geomean"],
         rows=rows,
-        paper_reference=FIG6_PAPER,
+        paper_reference=_paper("fig6"),
         measured_summary=measured,
         notes=_runner_notes(runner),
     )
@@ -287,13 +292,6 @@ def fig6_speedup_nvm(
 # ----------------------------------------------------------------------------
 # Figure 7: front-end stall cycles
 # ----------------------------------------------------------------------------
-
-FIG7_PAPER = {
-    "ATOM / ideal": 1.16,
-    "Proteus / ideal": 1.04,
-    "ATOM / Proteus": 1.12,
-}
-
 
 def fig7_frontend_stalls(
     threads: int = DEFAULT_THREADS,
@@ -334,7 +332,7 @@ def fig7_frontend_stalls(
         title="Figure 7: front-end stall cycles (normalized to PMEM+nolog)",
         columns=benchmarks + ["geomean"],
         rows=rows,
-        paper_reference=FIG7_PAPER,
+        paper_reference=_paper("fig7"),
         measured_summary=measured,
         notes=_runner_notes(runner),
     )
@@ -343,13 +341,6 @@ def fig7_frontend_stalls(
 # ----------------------------------------------------------------------------
 # Figure 8: NVMM writes
 # ----------------------------------------------------------------------------
-
-FIG8_PAPER = {
-    "ATOM avg": 3.4,
-    "ATOM worst (AT)": 6.0,
-    "Proteus worst": 1.06,
-}
-
 
 def fig8_nvm_writes(
     threads: int = DEFAULT_THREADS,
@@ -388,7 +379,7 @@ def fig8_nvm_writes(
         title="Figure 8: NVMM writes (normalized to PMEM+nolog)",
         columns=benchmarks + ["geomean"],
         rows=rows,
-        paper_reference=FIG8_PAPER,
+        paper_reference=_paper("fig8"),
         measured_summary=measured,
         notes=_runner_notes(runner),
     )
@@ -398,14 +389,10 @@ def fig8_nvm_writes(
 # Figures 9 and 10: slow NVM / DRAM sensitivity
 # ----------------------------------------------------------------------------
 
-FIG9_PAPER = {"ATOM": 1.33, "Proteus": 1.49, "PMEM+nolog": 1.53}
-FIG10_PAPER = {"ATOM": 1.31, "Proteus": 1.47, "PMEM+nolog": 1.52}
-
-
 def _latency_sensitivity(
     config: SystemConfig,
     title: str,
-    paper: Dict[str, float],
+    figure: str,
     threads: int,
     scale: Optional[float],
     seed: int = DEFAULT_SEED,
@@ -419,6 +406,7 @@ def _latency_sensitivity(
     )
     benchmarks = list(BENCHMARK_ORDER)
     rows = _speedup_rows(results, schemes, benchmarks)
+    paper = _paper(figure)
     measured = {
         name: rows[name][-1]
         for name in paper
@@ -444,7 +432,7 @@ def fig9_slow_nvm(
     return _latency_sensitivity(
         slow_nvm_config(cores=threads),
         "Figure 9: speedup on slow NVMM (300 ns writes; baseline PMEM)",
-        FIG9_PAPER,
+        "fig9",
         threads,
         scale,
         seed=seed,
@@ -462,7 +450,7 @@ def fig10_dram(
     return _latency_sensitivity(
         dram_config(cores=threads),
         "Figure 10: speedup on DRAM (baseline PMEM)",
-        FIG10_PAPER,
+        "fig10",
         threads,
         scale,
         seed=seed,
@@ -471,11 +459,70 @@ def fig10_dram(
 
 
 # ----------------------------------------------------------------------------
-# Figure 11: LogQ size sweep
+# Figures 11 and 12: LogQ and LPQ size sweeps
 # ----------------------------------------------------------------------------
 
-FIG11_PAPER = {"LogQ=8 geomean": 1.44, "LogQ=64 geomean": 1.47}
 FIG11_SIZES = (1, 2, 4, 8, 16, 32, 64)
+FIG12_SIZES = (8, 16, 32, 64, 128, 256)
+
+
+def _proteus_size_sweep(
+    figure: str,
+    title: str,
+    row_label: str,
+    proteus_knobs: Callable[[int], Dict[str, int]],
+    sizes: Sequence[int],
+    threads: int,
+    scale: Optional[float],
+    seed: int,
+    runner: Optional[SweepRunner],
+) -> EvaluationResult:
+    """Proteus speedup over PMEM per benchmark at each queue size.
+
+    ``proteus_knobs(size)`` gives the Proteus configuration of one size,
+    whose row is labelled ``<row_label>=<size>``.  The caller fills in
+    the figure's ``measured_summary`` from the rows.
+    """
+    scale = _env_scale() if scale is None else scale
+    runner = get_default_runner() if runner is None else runner
+    benchmarks = list(BENCHMARK_ORDER)
+    base_config = fast_nvm_config(cores=threads)
+    keys: List[Tuple[str, Optional[int]]] = [
+        (name, None) for name in benchmarks
+    ] + [
+        (name, size) for size in sizes for name in benchmarks
+    ]
+    cells = [
+        bench_cell(
+            name,
+            BASELINE if size is None else Scheme.PROTEUS,
+            base_config if size is None
+            else base_config.with_proteus(**proteus_knobs(size)),
+            threads,
+            scale,
+            seed,
+        )
+        for name, size in keys
+    ]
+    results = dict(zip(keys, runner.run_cells(cells)))
+    rows: Dict[str, List[Optional[float]]] = {}
+    for size in sizes:
+        values: List[Optional[float]] = [
+            _div(
+                _cycles(results.get((name, None))),
+                _cycles(results.get((name, size))),
+            )
+            for name in benchmarks
+        ]
+        values.append(_geomean_or_none(values))
+        rows[f"{row_label}={size}"] = values
+    return EvaluationResult(
+        title=title,
+        columns=benchmarks + ["geomean"],
+        rows=rows,
+        paper_reference=_paper(figure),
+        notes=_runner_notes(runner),
+    )
 
 
 def fig11_logq_sweep(
@@ -486,59 +533,18 @@ def fig11_logq_sweep(
     runner: Optional[SweepRunner] = None,
 ) -> EvaluationResult:
     """Figure 11: Proteus speedup vs LogQ size."""
-    scale = _env_scale() if scale is None else scale
-    runner = get_default_runner() if runner is None else runner
-    benchmarks = list(BENCHMARK_ORDER)
-    base_config = fast_nvm_config(cores=threads)
-    keys: List[Tuple[str, Optional[int]]] = [
-        (name, None) for name in benchmarks
-    ] + [
-        (name, size) for size in sizes for name in benchmarks
-    ]
-    cells = [
-        bench_cell(
-            name,
-            BASELINE if size is None else Scheme.PROTEUS,
-            base_config if size is None
-            else base_config.with_proteus(logq_entries=size),
-            threads,
-            scale,
-            seed,
-        )
-        for name, size in keys
-    ]
-    results = dict(zip(keys, runner.run_cells(cells)))
-    rows: Dict[str, List[Optional[float]]] = {}
-    for size in sizes:
-        values: List[Optional[float]] = [
-            _div(
-                _cycles(results.get((name, None))),
-                _cycles(results.get((name, size))),
-            )
-            for name in benchmarks
-        ]
-        values.append(_geomean_or_none(values))
-        rows[f"LogQ={size}"] = values
-    measured = {}
-    if 8 in sizes:
-        measured["LogQ=8 geomean"] = rows["LogQ=8"][-1]
-    if 64 in sizes:
-        measured["LogQ=64 geomean"] = rows["LogQ=64"][-1]
-    return EvaluationResult(
-        title="Figure 11: Proteus speedup vs LogQ size (baseline PMEM)",
-        columns=benchmarks + ["geomean"],
-        rows=rows,
-        paper_reference=FIG11_PAPER,
-        measured_summary=measured,
-        notes=_runner_notes(runner),
+    result = _proteus_size_sweep(
+        "fig11",
+        "Figure 11: Proteus speedup vs LogQ size (baseline PMEM)",
+        "LogQ",
+        lambda size: {"logq_entries": size},
+        sizes, threads, scale, seed, runner,
     )
-
-
-# ----------------------------------------------------------------------------
-# Figure 12: LPQ size sweep
-# ----------------------------------------------------------------------------
-
-FIG12_SIZES = (8, 16, 32, 64, 128, 256)
+    if 8 in sizes:
+        result.measured_summary["LogQ=8 geomean"] = result.rows["LogQ=8"][-1]
+    if 64 in sizes:
+        result.measured_summary["LogQ=64 geomean"] = result.rows["LogQ=64"][-1]
+    return result
 
 
 def fig12_lpq_sweep(
@@ -549,65 +555,24 @@ def fig12_lpq_sweep(
     runner: Optional[SweepRunner] = None,
 ) -> EvaluationResult:
     """Figure 12: Proteus speedup vs LPQ size (LogQ fixed at 16)."""
-    scale = _env_scale() if scale is None else scale
-    runner = get_default_runner() if runner is None else runner
-    benchmarks = list(BENCHMARK_ORDER)
-    base_config = fast_nvm_config(cores=threads)
-    keys: List[Tuple[str, Optional[int]]] = [
-        (name, None) for name in benchmarks
-    ] + [
-        (name, size) for size in sizes for name in benchmarks
-    ]
-    cells = [
-        bench_cell(
-            name,
-            BASELINE if size is None else Scheme.PROTEUS,
-            base_config if size is None
-            else base_config.with_proteus(lpq_entries=size, logq_entries=16),
-            threads,
-            scale,
-            seed,
-        )
-        for name, size in keys
-    ]
-    results = dict(zip(keys, runner.run_cells(cells)))
-    rows: Dict[str, List[Optional[float]]] = {}
-    for size in sizes:
-        values: List[Optional[float]] = [
-            _div(
-                _cycles(results.get((name, None))),
-                _cycles(results.get((name, size))),
-            )
-            for name in benchmarks
-        ]
-        values.append(_geomean_or_none(values))
-        rows[f"LPQ={size}"] = values
-    paper = {
-        "large-LPQ plateau": 1.46,
-    }
-    measured = {}
-    if sizes:
-        measured["large-LPQ plateau"] = rows[f"LPQ={max(sizes)}"][-1]
-    return EvaluationResult(
-        title="Figure 12: Proteus speedup vs LPQ size (LogQ=16; baseline PMEM)",
-        columns=benchmarks + ["geomean"],
-        rows=rows,
-        paper_reference=paper,
-        measured_summary=measured,
-        notes=_runner_notes(runner),
+    result = _proteus_size_sweep(
+        "fig12",
+        "Figure 12: Proteus speedup vs LPQ size (LogQ=16; baseline PMEM)",
+        "LPQ",
+        lambda size: {"lpq_entries": size, "logq_entries": 16},
+        sizes, threads, scale, seed, runner,
     )
+    if sizes:
+        result.measured_summary["large-LPQ plateau"] = (
+            result.rows[f"LPQ={max(sizes)}"][-1]
+        )
+    return result
 
 
 # ----------------------------------------------------------------------------
 # Table 3: large transactions (linked-list microbenchmark)
 # ----------------------------------------------------------------------------
 
-TABLE3_PAPER = {
-    "Proteus@1024": 1.20,
-    "Proteus@8192": 1.24,
-    "ideal@1024": 1.23,
-    "ideal@8192": 1.27,
-}
 TABLE3_SIZES = (1024, 2048, 4096, 8192)
 
 
@@ -691,7 +656,7 @@ def table3_large_transactions(
         title="Table 3: speedups for large transactions (baseline PMEM)",
         columns=[str(size) for size in sizes],
         rows=rows,
-        paper_reference=TABLE3_PAPER,
+        paper_reference=_paper("table3"),
         measured_summary=measured,
         notes=_runner_notes(runner),
     )
@@ -701,14 +666,9 @@ def table3_large_transactions(
 # Table 4: LLT miss rate
 # ----------------------------------------------------------------------------
 
-TABLE4_PAPER = {
-    "AT": 37.2,
-    "BT": 36.1,
-    "HM": 39.2,
-    "RT": 51.6,
-    "SS": 24.5,
-    "QE": 22.5,
-}
+#: Table 4's columns in the paper's order; the catalog lists the same
+#: metrics in the figures' benchmark order.
+TABLE4_COLUMNS = ("AT", "BT", "HM", "RT", "SS", "QE")
 
 
 def table4_llt_miss_rate(
@@ -721,7 +681,7 @@ def table4_llt_miss_rate(
     scale = _env_scale() if scale is None else scale
     runner = get_default_runner() if runner is None else runner
     config = fast_nvm_config(cores=threads)
-    benchmarks = list(TABLE4_PAPER)
+    benchmarks = list(TABLE4_COLUMNS)
     cells = [
         bench_cell(name, Scheme.PROTEUS, config, threads, scale, seed)
         for name in benchmarks
@@ -737,7 +697,7 @@ def table4_llt_miss_rate(
         title="Table 4: LLT miss rate (%) with a 64-entry LLT",
         columns=benchmarks,
         rows=rows,
-        paper_reference=TABLE4_PAPER,
+        paper_reference=_paper("table4", TABLE4_COLUMNS),
         measured_summary=measured,
         value_format="{:.1f}",
         notes=_runner_notes(runner),

@@ -7,24 +7,11 @@ paper-vs-measured scorecard across all figures and tables.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis import experiments
+from repro.analysis.figures import run_figures
 from repro.analysis.report import format_bars
-
-
-#: Ordered (name, callable) registry of the full evaluation.
-ALL_EXPERIMENTS: List[Tuple[str, Callable]] = [
-    ("Figure 6", experiments.fig6_speedup_nvm),
-    ("Figure 7", experiments.fig7_frontend_stalls),
-    ("Figure 8", experiments.fig8_nvm_writes),
-    ("Figure 9", experiments.fig9_slow_nvm),
-    ("Figure 10", experiments.fig10_dram),
-    ("Figure 11", experiments.fig11_logq_sweep),
-    ("Figure 12", experiments.fig12_lpq_sweep),
-    ("Table 3", experiments.table3_large_transactions),
-    ("Table 4", experiments.table4_llt_miss_rate),
-]
 
 
 def run_all(
@@ -33,17 +20,10 @@ def run_all(
     seed: Optional[int] = None,
 ) -> Dict[str, "experiments.EvaluationResult"]:
     """Run the whole evaluation; results share the per-process cache."""
-    results = {}
-    for name, function in ALL_EXPERIMENTS:
-        kwargs = {}
-        if function is not experiments.table3_large_transactions:
-            kwargs["threads"] = threads
-        if scale is not None:
-            kwargs["scale"] = scale
-        if seed is not None:
-            kwargs["seed"] = seed
-        results[name] = function(**kwargs)
-    return results
+    return {
+        spec.label: result
+        for spec, result in run_figures(threads=threads, scale=scale, seed=seed)
+    }
 
 
 def scorecard(results: Dict[str, "experiments.EvaluationResult"]) -> str:

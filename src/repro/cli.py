@@ -70,6 +70,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.figures import REGISTRY
 from repro.core.schemes import BASELINE, Scheme
 from repro.sim.config import dram_config, fast_nvm_config, slow_nvm_config
 from repro.sim.simulator import run_trace
@@ -80,18 +81,6 @@ CONFIGS = {
     "fast-nvm": fast_nvm_config,
     "slow-nvm": slow_nvm_config,
     "dram": dram_config,
-}
-
-EXPERIMENTS = {
-    "fig6": "fig6_speedup_nvm",
-    "fig7": "fig7_frontend_stalls",
-    "fig8": "fig8_nvm_writes",
-    "fig9": "fig9_slow_nvm",
-    "fig10": "fig10_dram",
-    "fig11": "fig11_logq_sweep",
-    "fig12": "fig12_lpq_sweep",
-    "table3": "table3_large_transactions",
-    "table4": "table4_llt_miss_rate",
 }
 
 
@@ -196,7 +185,7 @@ def _print_quarantine(notes: List[str]) -> None:
 
 
 def cmd_experiment(args) -> int:
-    import repro.analysis as analysis
+    from repro.analysis.summary import full_report
     from repro.parallel import configure_default_runner
 
     journal = _open_journal(args, f"experiment-{args.name}")
@@ -210,24 +199,12 @@ def cmd_experiment(args) -> int:
     )
     try:
         if args.name == "all":
-            from repro.analysis.summary import full_report
-
             print(full_report(
                 threads=args.threads, scale=args.scale, seed=args.seed
             ))
-            print(runner.describe())
-            _print_quarantine(runner.quarantine_notes())
-            return 1 if runner.quarantined else 0
-        function = getattr(analysis, EXPERIMENTS[args.name])
-        kwargs = {}
-        if args.name not in ("table3",):
-            kwargs["threads"] = args.threads
-        if args.scale is not None:
-            kwargs["scale"] = args.scale
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        result = function(**kwargs)
-        print(result.report())
+        else:
+            result = REGISTRY[args.name].run(args.threads, args.scale, args.seed)
+            print(result.report())
         print(runner.describe())
         _print_quarantine(runner.quarantine_notes())
         return 1 if runner.quarantined else 0
@@ -747,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser = subparsers.add_parser(
         "experiment", help="regenerate a paper figure/table"
     )
-    experiment_parser.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"])
+    experiment_parser.add_argument("name", choices=sorted(REGISTRY) + ["all"])
     experiment_parser.add_argument("--threads", type=int, default=4)
     experiment_parser.add_argument("--scale", type=float, default=None)
     experiment_parser.add_argument("--seed", type=int, default=None)
