@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-pin the golden ``Stats``, report, trace and figure-report digests.
+"""Re-pin the golden ``Stats``, report, trace, figure-report and sweep digests.
 
 Runs the matrix defined in ``tests/test_golden_stats.py`` under the
 reference engine and rewrites ``tests/golden/stats_digests.json``,
@@ -9,12 +9,14 @@ renders every lint and verify report listed in
 in ``tests/test_golden_traces.py`` and rewrites
 ``tests/golden/trace_digests.json``, then runs the evaluation that
 ``tests/test_summary.py`` digests and rewrites
-``tests/golden/report_digests.json``.  Run it only after a deliberate
+``tests/golden/report_digests.json``, and last renders the lint, verify,
+profile and fault sweeps of ``tests/test_golden_sweeps.py`` and rewrites
+``tests/golden/sweep_digests.json``.  Run it only after a deliberate
 change to the timing model, the tracer, a lint rule or the verifier::
 
     PYTHONPATH=src python tools/pin_golden_stats.py
 
-A refactor or speed-up must leave all four pinned files untouched.
+A refactor or speed-up must leave all five pinned files untouched.
 """
 
 import json
@@ -27,6 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from tests import (  # noqa: E402
     test_golden_diagnostics,
     test_golden_stats,
+    test_golden_sweeps,
     test_golden_traces,
     test_summary,
 )
@@ -65,6 +68,13 @@ def main() -> int:
         "scorecard from run_all(threads=1, scale=0.05); regenerate with "
         "tools/pin_golden_stats.py",
         test_summary.compute_digests(),
+    )
+    _write(
+        test_golden_sweeps.GOLDEN_PATH,
+        "SHA-256 of the lint, verify, profile and fault sweep reports "
+        "(verify wall time zeroed); regenerate with "
+        "tools/pin_golden_stats.py",
+        test_golden_sweeps.compute_digests(),
     )
     return 0
 
