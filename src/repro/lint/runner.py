@@ -8,7 +8,7 @@ applies to the very streams the timing model executes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.codegen import CodeGenerator, ThreadLayout
 from repro.core.schemes import Scheme
@@ -16,6 +16,7 @@ from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint.diagnostics import LintResult
 from repro.lint.engine import Analyzer
 from repro.lint.profiles import profile_for
+from repro.workloads import workload_traces
 from repro.workloads.heap import ThreadAddressSpace
 
 
@@ -89,19 +90,8 @@ def lint_workload(
     think_instructions: Optional[int] = None,
 ) -> LintResult:
     """Generate a workload's traces and lint the lowered streams."""
-    from repro.faults.campaign import resolve_workload
-    from repro.workloads.base import generate_traces
-
     scheme = Scheme.parse(scheme)
-    workload_cls = resolve_workload(workload)
-    kwargs: Dict[str, int] = {}
-    if init_ops is not None:
-        kwargs["init_ops"] = init_ops
-    if sim_ops is not None:
-        kwargs["sim_ops"] = sim_ops
-    if think_instructions is not None:
-        kwargs["think_instructions"] = think_instructions
-    traces: List[OpTrace] = generate_traces(
-        workload_cls, threads=threads, seed=seed, **kwargs
+    name, traces = workload_traces(
+        workload, threads, seed, init_ops, sim_ops, think_instructions
     )
-    return lint_op_traces(traces, scheme, workload=workload_cls.name)
+    return lint_op_traces(traces, scheme, workload=name)

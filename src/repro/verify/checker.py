@@ -47,6 +47,7 @@ from repro.verify.frontier import (
     sample_frontiers,
 )
 from repro.verify.model import INTERESTING_KINDS, derive_candidates
+from repro.workloads import workload_traces
 
 #: Cap on reported findings per thread; enumeration continues past it
 #: only to finish the position walk's coverage accounting.
@@ -405,21 +406,8 @@ def verify_workload(
     budget: Optional[int] = None,
 ) -> CheckReport:
     """Generate a workload's traces and model-check the lowered streams."""
-    from repro.faults.campaign import resolve_workload
-    from repro.workloads.base import generate_traces
-
     scheme = Scheme.parse(scheme)
-    workload_cls = resolve_workload(workload)
-    kwargs: Dict[str, int] = {}
-    if init_ops is not None:
-        kwargs["init_ops"] = init_ops
-    if sim_ops is not None:
-        kwargs["sim_ops"] = sim_ops
-    if think_instructions is not None:
-        kwargs["think_instructions"] = think_instructions
-    traces: List[OpTrace] = generate_traces(
-        workload_cls, threads=threads, seed=seed, **kwargs
+    name, traces = workload_traces(
+        workload, threads, seed, init_ops, sim_ops, think_instructions
     )
-    return verify_op_traces(
-        traces, scheme, workload=workload_cls.name, budget=budget, seed=seed
-    )
+    return verify_op_traces(traces, scheme, workload=name, budget=budget, seed=seed)

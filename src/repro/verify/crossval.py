@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.core.schemes import Scheme
-from repro.faults.campaign import VIOLATION_MODES, resolve_workload, run_campaign
 from repro.isa.trace import InstructionTrace
 from repro.lint.mutate import drop_clwb_tagged_every, drop_log_flush_every
 from repro.lint.runner import lower_for_lint
 from repro.verify.checker import CheckReport, verify_instruction_trace
+from repro.workloads import resolve_workload
+from repro.workloads.base import generate_traces
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,13 @@ def cross_validate(
     mutation, and model-checks the result (stopping at the first
     counterexample — existence is what the superset claim needs).
     """
+    # Only the dynamic side needs the timing-machine crash harness, so
+    # importing repro.verify does not load it.
+    from repro.faults.campaign import VIOLATION_MODES, run_campaign
+
     scheme = Scheme.parse(scheme)
     workload_cls = resolve_workload(workload)
     result = CrossValResult(scheme=scheme, workload=workload_cls.name)
-
-    from repro.workloads.base import generate_traces
-
     (op_trace,) = generate_traces(
         workload_cls, threads=1, seed=seed, **workload_kwargs
     )

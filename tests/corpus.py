@@ -18,11 +18,11 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 from repro.core.schemes import Scheme
-from repro.faults.campaign import resolve_workload
 from repro.isa.instructions import Kind
 from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint import mutate
 from repro.lint.runner import lower_for_lint
+from repro.workloads import resolve_workload
 from repro.workloads.base import generate_traces
 
 #: Small but non-trivial run: several multi-store transactions.

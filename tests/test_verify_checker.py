@@ -17,7 +17,6 @@ from collections import Counter
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.faults.campaign import resolve_workload
 from repro.isa.instructions import (
     Kind,
     clwb,
@@ -41,6 +40,7 @@ from repro.verify import (
 )
 from repro.verify.checker import verify_workload
 from repro.verify.model import derive_candidates
+from repro.workloads import resolve_workload
 from repro.workloads.base import generate_traces
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 

@@ -27,7 +27,6 @@ import repro.persistence.recovery as recovery
 import repro.verify.checker as checker
 from repro.core.codegen import REGION_DATA
 from repro.core.schemes import Scheme
-from repro.faults.campaign import resolve_workload
 from repro.isa.instructions import CACHE_LINE, Kind
 from repro.isa.trace import InstructionTrace
 from repro.lint.engine import Analyzer
@@ -45,6 +44,7 @@ from repro.persistence.stream import StreamState
 from repro.verify.checker import CheckReport, verify_instruction_trace
 from repro.verify.frontier import Frontier, _software_log_view, materialize
 from repro.verify.model import INTERESTING_KINDS
+from repro.workloads import resolve_workload
 from repro.workloads.base import generate_traces
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 
