@@ -72,6 +72,13 @@ from repro.parallel.journal import SweepJournal
 #: its retry budget before it is quarantined as the likely culprit.
 POOL_BREAK_SLACK = 2
 
+#: Each retry's backoff is this many times the previous one's (before
+#: the ``backoff_max`` cap and the jitter).
+BACKOFF_FACTOR = 2.0
+
+#: A backoff is stretched by a seeded draw of up to this fraction.
+BACKOFF_JITTER = 0.5
+
 
 def pool_worker_init() -> None:
     """Tie pool workers to their driver's life (Linux: PDEATHSIG).
@@ -106,9 +113,7 @@ class ResilienceConfig:
     cell_timeout: Optional[float] = None
     max_retries: int = 2
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max: float = 2.0
-    jitter: float = 0.5
 
     @classmethod
     def from_options(
@@ -129,10 +134,10 @@ class ResilienceConfig:
         """Deterministic jittered delay before retry ``attempt + 1``."""
         delay = min(
             self.backoff_max,
-            self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
+            self.backoff_base * BACKOFF_FACTOR ** max(0, attempt - 1),
         )
         rng = random.Random(f"backoff:{key}:{attempt}")
-        return delay * (1.0 + self.jitter * rng.random())
+        return delay * (1.0 + BACKOFF_JITTER * rng.random())
 
     def describe(self) -> str:
         timeout = (
@@ -153,6 +158,17 @@ class QuarantineRecord:
     def summary(self) -> str:
         last_line = self.error.strip().splitlines()[-1] if self.error else "?"
         return f"{self.key}: {last_line} (after {self.attempts} attempt(s))"
+
+
+def partial_results_lines(
+    records: Sequence[QuarantineRecord], indent: str = "  "
+) -> List[str]:
+    """A sweep report's footer listing its quarantined tasks, if any."""
+    if not records:
+        return []
+    return [f"{indent}PARTIAL RESULTS — quarantined cells omitted:"] + [
+        f"{indent}  {record.summary()}" for record in records
+    ]
 
 
 @dataclass

@@ -17,6 +17,7 @@ import pytest
 
 from repro.parallel.journal import SweepJournal
 from repro.parallel.resilience import (
+    BACKOFF_JITTER,
     ResilienceConfig,
     SweepExecutionError,
     last_run_report,
@@ -239,7 +240,7 @@ def test_backoff_is_deterministic_and_draws_no_global_rng():
     assert config.backoff("cell-b", 1) != first
     assert config.backoff("cell-a", 2) != first
     # Exponential shape, bounded: base * factor^(n-1) * (1 + jitter).
-    assert 0.0 < first <= config.backoff_max * (1.0 + config.jitter)
+    assert 0.0 < first <= config.backoff_max * (1.0 + BACKOFF_JITTER)
 
 
 def test_resilient_map_preserves_order_with_none_at_quarantine(tmp_path):
