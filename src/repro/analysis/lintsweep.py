@@ -4,25 +4,21 @@ This is the correctness gate CI runs before any codegen change lands:
 every bundled scheme's lowering of every bundled workload must produce
 zero error-severity diagnostics.  The report is a compact matrix (one
 cell per combination) followed by any diagnostics, deterministic for a
-fixed seed.  Cells run through the sweep executor,
-:func:`~repro.parallel.resilience.resilient_map`, like every other sweep.
+fixed seed.  Cells run through the shared sweep body,
+:func:`~repro.analysis.sweep.matrix_sweep`, like every other sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
+from repro.analysis.sweep import matrix_report, matrix_sweep
 from repro.core.schemes import Scheme
-from repro.lint.diagnostics import Diagnostic, LintResult
+from repro.lint.diagnostics import LintResult
 from repro.lint.runner import lint_workload
 from repro.parallel.journal import SweepJournal
-from repro.parallel.resilience import (
-    QuarantineRecord,
-    ResilienceConfig,
-    resilient_map,
-)
-from repro.workloads import BENCHMARK_ORDER
+from repro.parallel.resilience import QuarantineRecord, ResilienceConfig
 
 
 @dataclass
@@ -50,99 +46,25 @@ class LintSweepResult:
 
     def report(self, verbose: bool = False) -> str:
         """Matrix report: one row per scheme, one column per workload."""
-        schemes = sorted({str(r.scheme) for r in self.results})
-        workloads = sorted(
-            {r.workload for r in self.results},
-            key=lambda w: (
-                BENCHMARK_ORDER.index(w) if w in BENCHMARK_ORDER else 99,
-                w,
-            ),
-        )
-        cell = {(str(r.scheme), r.workload): r for r in self.results}
-        width = max(14, max((len(s) for s in schemes), default=14))
-        lines = [
-            "persist-lint sweep: cells are errors/warnings per "
-            "scheme x workload",
-            "  " + " " * width + "".join(f"{w:>10s}" for w in workloads),
-        ]
-        for scheme in schemes:
-            row = f"  {scheme:<{width}s}"
-            for workload in workloads:
-                result = cell.get((scheme, workload))
-                row += f"{'-':>10s}" if result is None else (
-                    f"{f'{result.errors}/{result.warnings}':>10s}"
-                )
-            lines.append(row)
-        lines.append(
+        details = [
             f"  total: {self.errors} error(s), {self.warnings} warning(s) "
             f"-> {'PASS' if self.passed else 'FAIL'}"
+        ]
+        for result in self.results if verbose else self.failing():
+            details.extend(
+                f"  [{result.scheme} x {result.workload}] {diag.format()}"
+                for diag in result.diagnostics
+                if verbose or diag.severity.value == "error"
+            )
+        return matrix_report(
+            "persist-lint sweep: cells are errors/warnings per "
+            "scheme x workload",
+            self.results,
+            lambda result: f"{result.errors}/{result.warnings}",
+            10,
+            details,
+            self.quarantined,
         )
-        shown = self.failing() if not verbose else self.results
-        for result in shown:
-            for diag in result.diagnostics:
-                if verbose or diag.severity.value == "error":
-                    lines.append(
-                        f"  [{result.scheme} x {result.workload}] {diag.format()}"
-                    )
-        if self.quarantined:
-            lines.append("  PARTIAL RESULTS — quarantined cells omitted:")
-            lines.extend(
-                f"    {record.summary()}" for record in self.quarantined
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _lint_task(
-    item: Tuple[Scheme, str, int, int, Optional[int], Optional[int]]
-) -> LintResult:
-    """Module-level task wrapper so results can cross a process boundary."""
-    scheme, workload, threads, seed, init_ops, sim_ops = item
-    return lint_workload(
-        scheme, workload, threads=threads, seed=seed,
-        init_ops=init_ops, sim_ops=sim_ops,
-    )
-
-
-def _lint_payload(result: LintResult) -> Mapping[str, Any]:
-    """JSON-safe form of a lint cell for the sweep journal."""
-    return {
-        "scheme": result.scheme.value,
-        "workload": result.workload,
-        "threads": result.threads,
-        "instructions": result.instructions,
-        "diagnostics": [
-            {
-                "code": diag.code,
-                "thread_id": diag.thread_id,
-                "index": diag.index,
-                "message": diag.message,
-                "addr": diag.addr,
-                "txid": diag.txid,
-            }
-            for diag in result.diagnostics
-        ],
-    }
-
-
-def _lint_from_payload(payload: Mapping[str, Any]) -> LintResult:
-    """Inverse of :func:`_lint_payload`; raises on malformed payloads."""
-    return LintResult(
-        scheme=Scheme(str(payload["scheme"])),
-        workload=str(payload["workload"]),
-        threads=int(payload["threads"]),
-        instructions=int(payload["instructions"]),
-        diagnostics=[
-            Diagnostic(
-                code=str(entry["code"]),
-                thread_id=int(entry["thread_id"]),
-                index=int(entry["index"]),
-                message=str(entry["message"]),
-                addr=None if entry["addr"] is None else int(entry["addr"]),
-                txid=int(entry["txid"]),
-            )
-            for entry in payload["diagnostics"]
-        ],
-    )
 
 
 def lint_sweep(
@@ -158,42 +80,20 @@ def lint_sweep(
 ) -> LintSweepResult:
     """Lint every (scheme, workload) combination of the given sets.
 
-    Defaults sweep all bundled schemes over all bundled workloads.  Cells
-    run through :func:`~repro.parallel.resilience.resilient_map`: with
-    ``jobs > 1`` they are linted in worker processes, and result order
-    (and therefore the report) is identical either way.  Without a
-    ``resilience`` config or a ``journal`` the first failing cell fails
-    the sweep.  With either one, crashed or stuck workers are healed,
-    exhausted cells are quarantined (rendered as ``-`` in the matrix),
-    and a killed sweep resumes from the journal.
+    Defaults sweep all bundled schemes over all bundled workloads.
+    Parallelism, worker healing and journal-backed resume are
+    :func:`~repro.analysis.sweep.matrix_sweep`'s; quarantined cells
+    render as ``-`` in the matrix.
     """
-    scheme_list = [Scheme.parse(s) for s in schemes] if schemes else list(Scheme)
-    workload_list = list(workloads) if workloads else list(BENCHMARK_ORDER)
-    items = [
-        (scheme, workload, threads, seed, init_ops, sim_ops)
-        for scheme in scheme_list
-        for workload in workload_list
-    ]
-    keys = [
-        f"lint:{scheme.value}:{workload}:t{threads}:s{seed}"
-        f":i{init_ops}:o{sim_ops}"
-        for (scheme, workload, threads, seed, init_ops, sim_ops) in items
-    ]
-    values, quarantined = resilient_map(
-        _lint_task,
-        items,
-        keys,
+    results, quarantined = matrix_sweep(
+        "lint",
+        lint_workload,
+        LintResult,
+        schemes or list(Scheme),
+        workloads,
+        dict(threads=threads, seed=seed, init_ops=init_ops, sim_ops=sim_ops),
         jobs=jobs,
-        config=resilience,
+        resilience=resilience,
         journal=journal,
-        encode=_lint_payload,
-        decode=_lint_from_payload,
-        descriptions={
-            key: {"scheme": item[0].value, "workload": item[1]}
-            for key, item in zip(keys, items)
-        },
     )
-    return LintSweepResult(
-        results=[result for result in values if result is not None],
-        quarantined=quarantined,
-    )
+    return LintSweepResult(results=results, quarantined=quarantined)

@@ -13,17 +13,18 @@ traces, so a profile run after a figure run pays nothing for trace
 generation.  Tracing memory is the cost driver here — event streams grow
 with instruction count — so the default scale is small; shapes are
 stable under scaling just as they are for the figures.  Cells run through
-the sweep executor, :func:`~repro.parallel.resilience.resilient_map`,
-like every other sweep.
+the shared sweep body, :func:`~repro.analysis.sweep.matrix_sweep`, like
+every other sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import DEFAULT_SEED, benchmark_traces
 from repro.analysis.report import format_table
+from repro.analysis.sweep import matrix_sweep
 from repro.core.schemes import FIGURE_ORDER, Scheme
 from repro.obs.spans import ATTRIBUTION_CLASSES, attribution_totals, build_tx_spans
 from repro.obs.tracer import Tracer
@@ -31,7 +32,7 @@ from repro.parallel.journal import SweepJournal
 from repro.parallel.resilience import (
     QuarantineRecord,
     ResilienceConfig,
-    resilient_map,
+    partial_results_lines,
 )
 from repro.sim.config import fast_nvm_config
 from repro.sim.simulator import run_trace
@@ -69,29 +70,6 @@ class ProfileCell:
         return max(
             ATTRIBUTION_CLASSES,
             key=lambda name: (self.blocked.get(name, 0), -order[name]),
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe form for the sweep journal."""
-        return {
-            "scheme": self.scheme.value,
-            "workload": self.workload,
-            "cycles": self.cycles,
-            "transactions": self.transactions,
-            "events": self.events,
-            "blocked": dict(self.blocked),
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "ProfileCell":
-        """Inverse of :meth:`to_payload`; raises on malformed payloads."""
-        return ProfileCell(
-            scheme=Scheme(str(payload["scheme"])),
-            workload=str(payload["workload"]),
-            cycles=int(payload["cycles"]),
-            transactions=int(payload["transactions"]),
-            events=int(payload["events"]),
-            blocked={str(k): int(v) for k, v in payload["blocked"].items()},
         )
 
 
@@ -164,12 +142,8 @@ class ProfileSweepResult:
         for label, row in dominant.items():
             sections.append(label.ljust(label_width + 2) + row)
         if self.quarantined:
-            sections.append(
-                "\nPARTIAL RESULTS — quarantined cells omitted:"
-            )
-            sections.extend(
-                f"  {record.summary()}" for record in self.quarantined
-            )
+            sections.append("")
+            sections.extend(partial_results_lines(self.quarantined, indent=""))
         return "\n".join(sections)
 
 
@@ -197,16 +171,6 @@ def profile_one(
     )
 
 
-def _profile_task(item: Tuple[Scheme, str, int, float, int]) -> ProfileCell:
-    """Module-level task wrapper so cells can cross a process boundary."""
-    scheme, workload, threads, scale, seed = item
-    return profile_one(scheme, workload, threads=threads, scale=scale, seed=seed)
-
-
-def _cell_payload(cell: ProfileCell) -> Mapping[str, Any]:
-    return cell.to_payload()
-
-
 def profile_sweep(
     schemes: Optional[Sequence[Scheme]] = None,
     workloads: Optional[Sequence[str]] = None,
@@ -220,44 +184,28 @@ def profile_sweep(
     """Trace the scheme × workload matrix and attribute every cell.
 
     Defaults to the five figure schemes over every benchmark.  Cells run
-    through :func:`~repro.parallel.resilience.resilient_map`: with
-    ``jobs > 1`` they are traced in worker processes (only the compact
+    workload by workload through
+    :func:`~repro.analysis.sweep.matrix_sweep`: with ``jobs > 1`` they
+    are traced in worker processes (only the compact
     :class:`ProfileCell` attributions cross back — the raw event
-    streams, the memory cost driver here, stay worker-local).  Without a
-    ``resilience`` config or a ``journal`` the first failing cell fails
-    the sweep.  With either one, crashed or stuck workers are healed,
-    exhausted cells are quarantined (reported, not fatal), and a killed
-    sweep resumes from the journal.
+    streams, which dominate memory here, stay worker-local).  Worker
+    healing, quarantine (reported, not fatal) and journal-backed resume
+    are the shared body's.
     """
-    from repro.workloads import BENCHMARK_ORDER
-
-    schemes = list(FIGURE_ORDER) if schemes is None else list(schemes)
-    workloads = list(BENCHMARK_ORDER) if workloads is None else list(workloads)
-    items = [
-        (scheme, workload, threads, scale, seed)
-        for workload in workloads
-        for scheme in schemes
-    ]
-    keys = [
-        f"profile:{scheme.value}:{workload}:t{threads}:s{seed}:x{scale:g}"
-        for (scheme, workload, threads, scale, seed) in items
-    ]
-    values, quarantined = resilient_map(
-        _profile_task,
-        items,
-        keys,
+    cells, quarantined = matrix_sweep(
+        "profile",
+        profile_one,
+        ProfileCell,
+        schemes or FIGURE_ORDER,
+        workloads,
+        dict(threads=threads, seed=seed, scale=scale),
         jobs=jobs,
-        config=resilience,
+        resilience=resilience,
         journal=journal,
-        encode=_cell_payload,
-        decode=ProfileCell.from_payload,
-        descriptions={
-            key: {"scheme": item[0].value, "workload": item[1]}
-            for key, item in zip(keys, items)
-        },
+        workload_major=True,
     )
     return ProfileSweepResult(
-        cells=[cell for cell in values if cell is not None],
+        cells=cells,
         threads=threads,
         scale=scale,
         seed=seed,

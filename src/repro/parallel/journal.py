@@ -37,16 +37,36 @@ undecodable) is ignored, as is any damaged interior line — a lost
 converges to the same results.  Duplicate ``done`` records (a crash
 between append and the caller observing it, then a re-run) keep the
 first payload; determinism makes the copies byte-identical anyway.
+
+A ``done`` payload is the task result in JSON form.  The sweeps whose
+results are dataclasses (lint, verify, profile, the fault campaign's
+crash cases) share one codec for it, :func:`to_payload` and
+:func:`from_payload`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    IO,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.parallel.cellspec import canonical_json, repo_code_version
 
@@ -399,6 +419,76 @@ class SweepJournal:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def to_payload(value: Any) -> Any:
+    """JSON-safe form of a task result for a ``done`` record.
+
+    Dataclasses become dicts of their fields, enums their values, lists
+    and tuples lists, dicts dicts; strings, numbers, booleans and
+    ``None`` pass through.  :func:`from_payload` inverts it.
+    """
+    if is_dataclass(value):
+        return {f.name: to_payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [to_payload(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_payload(item) for key, item in value.items()}
+    return value
+
+
+def from_payload(hint: Any, payload: Any) -> Any:
+    """Rebuild a value of type ``hint`` from its :func:`to_payload` form.
+
+    ``hint`` is a dataclass, an enum, ``List[...]``, ``Dict[...]``,
+    ``Optional[...]`` or a plain JSON type.  A damaged payload (a field
+    missing, a value of the wrong type, an unknown enum value) raises
+    ``KeyError``, ``TypeError`` or ``ValueError``: the sweep executor
+    answers any of the three by re-running the task.
+    """
+    origin = get_origin(hint)
+    if origin is Union:  # Optional[X]
+        (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return None if payload is None else from_payload(inner, payload)
+    if origin is list:
+        (item,) = get_args(hint)
+        return [from_payload(item, entry) for entry in _expect(payload, list)]
+    if origin is dict:
+        key, item = get_args(hint)
+        return {
+            from_payload(key, name): from_payload(item, entry)
+            for name, entry in _expect(payload, dict).items()
+        }
+    if is_dataclass(hint):
+        payload = _expect(payload, dict)
+        return hint(**{
+            name: from_payload(field_hint, payload[name])
+            for name, field_hint in _field_hints(hint)
+        })
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(payload)
+    return _expect(payload, hint)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, type)`` of each ``__init__`` field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls) if f.init)
+
+
+def _expect(payload: Any, kind: type) -> Any:
+    # A JSON boolean is an int to isinstance, but never a count.
+    if not isinstance(payload, kind) or (
+        isinstance(payload, bool) and kind is not bool
+    ):
+        raise TypeError(
+            f"journal payload holds {type(payload).__name__}, "
+            f"expected {kind.__name__}"
+        )
+    return payload
 
 
 def _kill_countdown_from_env() -> Optional[int]:
