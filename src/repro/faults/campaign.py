@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.schemes import Scheme
 from repro.faults.harness import CrashCaseResult, run_crash_case
@@ -33,9 +34,14 @@ from repro.faults.plan import FaultPlan, StuckBankFault, Trigger
 from repro.faults.tracker import ThreadFunctional
 from repro.obs.export import format_tail
 from repro.obs.tracer import Tracer
-from repro.parallel.journal import SweepJournal
+from repro.parallel.journal import SweepJournal, from_payload, to_payload
+from repro.parallel.resilience import (
+    QuarantineRecord,
+    partial_results_lines,
+    resilient_map,
+)
 from repro.sim.config import SystemConfig, fast_nvm_config
-from repro.workloads import WORKLOADS
+from repro.workloads import resolve_workload
 from repro.workloads.base import generate_traces
 
 #: Campaign fault modes (see module docstring).
@@ -57,33 +63,6 @@ CLEAN_MODES = ("none", "reorder", "stuck")
 #: static analogs that ``persist-lint`` must flag (see
 #: :data:`repro.verify.crossval.ANALOG_MUTATORS`).
 VIOLATION_MODES = tuple(mode for mode in FAULT_MODES if mode not in CLEAN_MODES)
-
-#: Friendly CLI spellings for the paper's workload abbreviations.
-WORKLOAD_ALIASES = {
-    "queue": "QE",
-    "hashmap": "HM",
-    "stringswap": "SS",
-    "avltree": "AT",
-    "avl": "AT",
-    "btree": "BT",
-    "rbtree": "RT",
-}
-
-
-def resolve_workload(name) -> type:
-    """Workload class from a paper code or a friendly name."""
-    if isinstance(name, type):
-        return name
-    key = str(name).strip()
-    code = WORKLOAD_ALIASES.get(key.lower(), key.upper())
-    try:
-        return WORKLOADS[code]
-    except KeyError:
-        choices = sorted(WORKLOADS) + sorted(WORKLOAD_ALIASES)
-        raise ValueError(
-            f"unknown workload {name!r}; choose one of {', '.join(choices)}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class ReplayedCase:
@@ -117,11 +96,13 @@ class CampaignResult:
     warm_start_ops: int = 0
     #: clock at the warm checkpoint (crash cycles are drawn above it).
     warm_checkpoint_cycle: int = 0
-    #: campaign slots of the live ``cases`` (empty = 0..len(cases)-1;
-    #: resumed campaigns have gaps where journaled cases were skipped).
+    #: campaign slots of the live ``cases`` (resumed campaigns have gaps
+    #: where journaled cases were replayed).
     case_indices: List[int] = field(default_factory=list)
     #: cases replayed from a journal on resume.
     replayed: List[ReplayedCase] = field(default_factory=list)
+    #: cases that kept raising under a journal (retried, then set aside).
+    quarantined: List[QuarantineRecord] = field(default_factory=list)
 
     @property
     def crashes(self) -> int:
@@ -146,7 +127,13 @@ class CampaignResult:
 
     @property
     def passed(self) -> bool:
-        """Clean modes must stay clean; violation modes must be caught."""
+        """Clean modes must stay clean; violation modes must be caught.
+
+        A campaign with quarantined cases never passes: its verdict is
+        incomplete.
+        """
+        if self.quarantined:
+            return False
         if self.mode in VIOLATION_MODES:
             return self.inconsistent >= 1
         return self.inconsistent == 0
@@ -190,16 +177,16 @@ class CampaignResult:
             f"{self.inconsistent} inconsistent, {self.completed} completed) "
             f"-> {'PASS' if self.passed else 'FAIL'}",
         ]
-        indices = self.case_indices or list(range(len(self.cases)))
         entries = [
             (index, self.case_report_lines(index, case))
-            for index, case in zip(indices, self.cases)
+            for index, case in zip(self.case_indices, self.cases)
         ]
         entries.extend(
             (replay.index, replay.lines) for replay in self.replayed
         )
         for _, case_lines in sorted(entries, key=lambda entry: entry[0]):
             lines.extend(case_lines)
+        lines.extend(partial_results_lines(self.quarantined))
         return "\n".join(lines) + "\n"
 
 
@@ -348,13 +335,16 @@ def run_campaign(
     :class:`~repro.faults.harness.MachineState`; the report prints the
     pre-crash timeline for every inconsistent case.
 
-    With a ``journal`` attached every case is journaled write-ahead
-    (keyed by a campaign-identity digest plus the case's slot) and a
-    killed campaign resumes without re-running finished cases.  The
-    trigger/plan RNG stream is always drawn in full — skipped cases
-    consume exactly the draws they would have consumed — so executed
-    cases are byte-identical with or without a resume, and the resumed
-    report equals the uninterrupted one.
+    Cases run through the sweep executor,
+    :func:`~repro.parallel.resilience.resilient_map`, keyed by a
+    campaign-identity digest plus the case's slot.  Every case's plan
+    is drawn before any case runs, so executed cases are byte-identical
+    with or without a resume.  Without a ``journal`` the first case that
+    raises fails the campaign.  With one, every case is journaled
+    write-ahead, a killed campaign resumes without re-running finished
+    cases (the resumed report equals the uninterrupted one), and a case
+    that keeps raising is retried, then quarantined: the report lists it
+    under a PARTIAL RESULTS footer and the campaign does not pass.
 
     ``warm_start_ops`` > 0 simulates that many measured ops *once*,
     snapshots the machine at the drained boundary, and launches every
@@ -448,43 +438,23 @@ def run_campaign(
         warm_start_ops=warm_start_ops,
         warm_checkpoint_cycle=cycle_floor,
     )
-    case_keys: List[str] = []
-    if journal is not None:
-        case_keys = _campaign_case_keys(
-            crashes, scheme, workload_cls.name, mode, seed, threads,
-            max_cycles, trace_tail, warm_start_ops, config, workload_kwargs,
-        )
-        journal.begin(
-            (key, {"campaign": f"{scheme.value}/{workload_cls.name}/{mode}",
-                   "case": index})
-            for index, key in enumerate(case_keys)
-        )
-
+    # Every plan is drawn before any case runs, in case order: the plans
+    # depend only on the baseline, so a resumed campaign re-draws exactly
+    # the plans of an uninterrupted one, whichever cases it replays.
+    plans = []
     for index in range(crashes):
-        # Always drawn, even for journal-served cases: every case must
-        # consume its exact RNG budget or resumed campaigns would shift
-        # the plans of everything after the first skipped case.
         trigger = _make_trigger(
             rng, index, total_cycles, counts, mode, cycle_floor=cycle_floor
         )
-        plan = _make_plan(
-            mode, rng, trigger, data_drains, config.memory.banks, total_cycles
+        plans.append(
+            _make_plan(
+                mode, rng, trigger, data_drains, config.memory.banks,
+                total_cycles,
+            )
         )
-        if journal is not None:
-            payload = journal.done_payload(case_keys[index])
-            if payload is not None:
-                try:
-                    result.replayed.append(
-                        ReplayedCase(
-                            index=index,
-                            outcome=str(payload["outcome"]),
-                            lines=[str(line) for line in payload["lines"]],
-                        )
-                    )
-                    continue
-                except (KeyError, TypeError):
-                    pass  # damaged record: determinism makes a re-run safe
-            journal.mark_running(case_keys[index], 1)
+
+    def run_case(item: Tuple[int, FaultPlan]) -> Tuple[int, CrashCaseResult]:
+        index, plan = item
         # Manufactured log/flag drops *should* trip the log-before-data
         # invariant; keep building the image so detection surfaces from
         # recovery checking rather than image construction.
@@ -503,14 +473,35 @@ def run_campaign(
             trace_tail_cycles=trace_tail,
             base_snapshot=snapshot,
         )
-        result.cases.append(case)
-        result.case_indices.append(index)
-        if journal is not None:
-            journal.mark_done(
-                case_keys[index],
-                {
-                    "outcome": case.outcome,
-                    "lines": result.case_report_lines(index, case),
-                },
-            )
+        return index, case
+
+    def encode(value: Tuple[int, CrashCaseResult]) -> Mapping[str, Any]:
+        index, case = value
+        lines = result.case_report_lines(index, case)
+        return to_payload(ReplayedCase(index, case.outcome, lines))
+
+    keys = _campaign_case_keys(
+        crashes, scheme, workload_cls.name, mode, seed, threads,
+        max_cycles, trace_tail, warm_start_ops, config, workload_kwargs,
+    )
+    campaign = f"{scheme.value}/{workload_cls.name}/{mode}"
+    values, result.quarantined = resilient_map(
+        run_case,
+        list(enumerate(plans)),
+        keys,
+        journal=journal,
+        encode=encode,
+        decode=partial(from_payload, ReplayedCase),
+        descriptions={
+            key: {"campaign": campaign, "case": index}
+            for index, key in enumerate(keys)
+        },
+    )
+    for value in values:
+        if isinstance(value, ReplayedCase):
+            result.replayed.append(value)
+        elif value is not None:
+            index, case = value
+            result.cases.append(case)
+            result.case_indices.append(index)
     return result

@@ -20,7 +20,9 @@ import pytest
 
 from repro.analysis.lintsweep import lint_sweep
 from repro.analysis.profiling import profile_sweep
+from repro.analysis.verifysweep import verify_sweep
 from repro.core.schemes import Scheme
+from repro.faults import campaign as campaign_module
 from repro.faults import run_campaign
 from repro.parallel.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -29,6 +31,8 @@ from repro.parallel.journal import (
     JournalVersionError,
     SweepJournal,
 )
+from repro.parallel.resilience import SweepExecutionError
+from repro.verify import render_json as verify_json
 
 VERSION = "test-code-version"
 
@@ -244,6 +248,56 @@ def test_faults_campaign_resume_report_is_byte_identical(tmp_path):
     assert again.report() == reference
 
 
+def _drop_last_done(path):
+    """Lose the journal's last durable result, as a crash would."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    done_lines = [i for i, l in enumerate(lines) if b'"kind":"done"' in l]
+    del lines[done_lines[-1]]
+    path.write_bytes(b"".join(lines))
+    return len(done_lines)
+
+
+def _poison_first_case(monkeypatch):
+    """Make the campaign's first crash case raise on every attempt."""
+    real = campaign_module.run_crash_case
+    poisoned = []
+
+    def run_crash_case(scheme, traces, models, plan, **kwargs):
+        if plan.crash is not None and not poisoned:
+            poisoned.append(plan)
+        if poisoned and plan is poisoned[0]:
+            raise RuntimeError("injected crash-case failure")
+        return real(scheme, traces, models, plan, **kwargs)
+
+    monkeypatch.setattr(campaign_module, "run_crash_case", run_crash_case)
+
+
+def test_faults_campaign_quarantines_a_case_that_keeps_raising(
+    tmp_path, monkeypatch
+):
+    _poison_first_case(monkeypatch)
+    with open_journal(tmp_path / "faults.jsonl") as journal:
+        result = run_campaign("proteus", "QE", journal=journal, **FAULTS_KWARGS)
+    assert [record.attempts for record in result.quarantined] == [3]
+    assert result.crashes == FAULTS_KWARGS["crashes"] - 1
+    assert not result.passed
+    report = result.report()
+    # Every case that ran is clean, but the verdict is incomplete.
+    assert report.splitlines()[2] == (
+        "cases: 5 (5 consistent, 0 inconsistent, 0 completed) -> FAIL"
+    )
+    assert report.endswith(
+        "  PARTIAL RESULTS — quarantined cells omitted:\n"
+        f"    {result.quarantined[0].summary()}\n"
+    )
+    assert "RuntimeError: injected crash-case failure" in report
+
+    # Without a journal the campaign still fails fast.
+    _poison_first_case(monkeypatch)
+    with pytest.raises(SweepExecutionError):
+        run_campaign("proteus", "QE", **FAULTS_KWARGS)
+
+
 PROFILE_KWARGS = dict(
     schemes=[Scheme.PMEM, Scheme.PROTEUS], workloads=["QE"],
     threads=1, scale=0.02, seed=7,
@@ -283,3 +337,35 @@ def test_lint_sweep_resume_report_is_byte_identical(tmp_path):
         resumed = lint_sweep(journal=journal, **LINT_KWARGS)
         assert journal.appended == 0
     assert resumed.report() == reference
+
+
+VERIFY_KWARGS = dict(
+    schemes=["pmem", "proteus"], workloads=["QE", "HM"],
+    threads=1, seed=42, init_ops=12, sim_ops=6, budget=64,
+)
+
+
+def _verify_json(sweep):
+    """The sweep's JSON report with each cell's wall time zeroed."""
+    for report in sweep.results:
+        report.wall_time = 0.0
+    return verify_json(sweep.results)
+
+
+def test_verify_sweep_resume_report_is_byte_identical(tmp_path):
+    reference = verify_sweep(**VERIFY_KWARGS)
+
+    path = tmp_path / "verify.jsonl"
+    with open_journal(path) as journal:
+        first = verify_sweep(journal=journal, **VERIFY_KWARGS)
+    assert first.report(verbose=True) == reference.report(verbose=True)
+
+    # Lose the last durable cell and resume: one cell re-runs, the rest
+    # come back from the journal with every field intact (the matrix
+    # text alone shows no detail for clean cells, so compare the JSON).
+    cells = _drop_last_done(path)
+    with open_journal(path) as journal:
+        resumed = verify_sweep(journal=journal, **VERIFY_KWARGS)
+        assert journal.counts()["done"] == cells
+    assert resumed.report(verbose=True) == reference.report(verbose=True)
+    assert _verify_json(resumed) == _verify_json(reference)
