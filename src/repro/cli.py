@@ -74,7 +74,7 @@ from repro.analysis.figures import REGISTRY
 from repro.core.schemes import BASELINE, Scheme
 from repro.sim.config import dram_config, fast_nvm_config, slow_nvm_config
 from repro.sim.simulator import run_trace
-from repro.workloads import BENCHMARK_ORDER
+from repro.workloads import resolve_workload
 from repro.workloads.base import generate_traces
 
 CONFIGS = {
@@ -97,8 +97,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _workload_cls(args):
-    from repro.faults.campaign import resolve_workload
-
     return resolve_workload(args.benchmark)
 
 
@@ -371,62 +369,72 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis.lintsweep import lint_sweep
-    from repro.lint import render_json, render_text, rule_catalog
+def _run_sweep(args, sweep, **params):
+    """Run the lint, verify or profile sweep over the cells ``args`` pick.
+
+    ``--scheme``/``--workload`` choose the cells (``all`` means every
+    one), ``--journal``/``--resume`` and ``--cell-timeout``/
+    ``--max-retries`` how the sweep survives failures; ``params`` are
+    the sweep's own parameters.
+    """
     from repro.parallel.resilience import ResilienceConfig
-    from repro.workloads import BENCHMARK_ORDER
 
-    if args.rules:
-        print(rule_catalog())
-        return 0
     schemes = None if args.scheme == "all" else [Scheme.parse(args.scheme)]
-    if args.benchmark == "all":
-        workloads = list(BENCHMARK_ORDER)
-    else:
-        from repro.faults.campaign import resolve_workload
-
-        workloads = [resolve_workload(args.benchmark).name]
-    journal = _open_journal(args, "lint")
+    workloads = None if args.benchmark == "all" else [_workload_cls(args).name]
+    journal = _open_journal(args, args.command)
     try:
-        sweep = lint_sweep(
+        return sweep(
             schemes=schemes,
             workloads=workloads,
             threads=args.threads,
             seed=args.seed,
-            init_ops=args.init,
-            sim_ops=args.ops,
             jobs=args.jobs,
             resilience=ResilienceConfig.from_options(
                 args.cell_timeout, args.max_retries
             ),
             journal=journal,
+            **params,
         )
     finally:
         if journal is not None:
             journal.close()
+
+
+def _print_matrix(args, sweep, render_json, render_text) -> None:
+    """A lint or verify sweep as JSON, one cell's text, or its matrix."""
     if args.json:
         print(render_json(sweep.results))
     elif len(sweep.results) == 1 and not sweep.quarantined:
         print(render_text(sweep.results[0], verbose=args.verbose))
     else:
         print(sweep.report(verbose=args.verbose), end="")
-    if sweep.quarantined:
-        # Unlintable cells mean the gate's verdict is incomplete.
-        return 1
-    if not sweep.passed:
-        return 1
-    if args.strict_warnings and sweep.warnings:
-        return 1
-    return 0
+
+
+def _sweep_exit(sweep, failed: bool) -> int:
+    """Exit 1 on a failed sweep, or on quarantined cells: those leave the
+    sweep's verdict incomplete."""
+    return 1 if failed or sweep.quarantined else 0
+
+
+def cmd_lint(args) -> int:
+    from repro.analysis.lintsweep import lint_sweep
+    from repro.lint import render_json, render_text, rule_catalog
+
+    if args.rules:
+        print(rule_catalog())
+        return 0
+    sweep = _run_sweep(args, lint_sweep, init_ops=args.init, sim_ops=args.ops)
+    _print_matrix(args, sweep, render_json, render_text)
+    return _sweep_exit(
+        sweep,
+        not sweep.passed or (args.strict_warnings and sweep.warnings > 0),
+    )
 
 
 def cmd_verify(args) -> int:
     from repro.analysis.verifysweep import verifiable_schemes, verify_sweep
-    from repro.parallel.resilience import ResilienceConfig
     from repro.verify import render_json, render_text, verify_to_sarif
     from repro.verify.report import VERIFY_RULES
-    from repro.workloads import BENCHMARK_ORDER
 
     if args.rules:
         for code in sorted(VERIFY_RULES):
@@ -451,48 +459,19 @@ def cmd_verify(args) -> int:
             print(result.report(), end="")
             ok = ok and result.static_superset
         return 0 if ok else 1
-    schemes = None if args.scheme == "all" else [Scheme.parse(args.scheme)]
-    if args.benchmark == "all":
-        workloads = list(BENCHMARK_ORDER)
-    else:
-        from repro.faults.campaign import resolve_workload
-
-        workloads = [resolve_workload(args.benchmark).name]
-    journal = _open_journal(args, "verify")
-    try:
-        sweep = verify_sweep(
-            schemes=schemes,
-            workloads=workloads,
-            threads=args.threads,
-            seed=args.seed,
-            init_ops=args.init,
-            sim_ops=args.ops,
-            budget=args.budget,
-            jobs=args.jobs,
-            resilience=ResilienceConfig.from_options(
-                args.cell_timeout, args.max_retries
-            ),
-            journal=journal,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    sweep = _run_sweep(
+        args, verify_sweep, init_ops=args.init, sim_ops=args.ops,
+        budget=args.budget,
+    )
     if args.sarif:
-        import json as _json
+        import json
 
         with open(args.sarif, "w") as handle:
-            _json.dump(verify_to_sarif(sweep.results), handle, indent=2)
-        print(f"wrote SARIF report to {args.sarif}")
-    if args.json:
-        print(render_json(sweep.results))
-    elif len(sweep.results) == 1 and not sweep.quarantined:
-        print(render_text(sweep.results[0], verbose=args.verbose))
-    else:
-        print(sweep.report(verbose=args.verbose), end="")
-    if sweep.quarantined:
-        # Uncheckable cells mean the gate's verdict is incomplete.
-        return 1
-    return 0 if sweep.passed else 1
+            json.dump(verify_to_sarif(sweep.results), handle, indent=2)
+        # On stderr: with --json, stdout holds only the JSON document.
+        print(f"wrote SARIF report to {args.sarif}", file=sys.stderr)
+    _print_matrix(args, sweep, render_json, render_text)
+    return _sweep_exit(sweep, not sweep.passed)
 
 
 def cmd_bench(args) -> int:
@@ -629,33 +608,14 @@ def cmd_trace(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.analysis.profiling import DEFAULT_PROFILE_SCALE, profile_sweep
-    from repro.faults.campaign import resolve_workload
-    from repro.parallel.resilience import ResilienceConfig
 
-    schemes = None if args.scheme == "all" else [Scheme.parse(args.scheme)]
-    if args.benchmark == "all":
-        workloads = None
-    else:
-        workloads = [resolve_workload(args.benchmark).name]
-    journal = _open_journal(args, "profile")
-    try:
-        sweep = profile_sweep(
-            schemes=schemes,
-            workloads=workloads,
-            threads=args.threads,
-            scale=DEFAULT_PROFILE_SCALE if args.scale is None else args.scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            resilience=ResilienceConfig.from_options(
-                args.cell_timeout, args.max_retries
-            ),
-            journal=journal,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    sweep = _run_sweep(
+        args,
+        profile_sweep,
+        scale=DEFAULT_PROFILE_SCALE if args.scale is None else args.scale,
+    )
     print(sweep.report())
-    return 1 if sweep.quarantined else 0
+    return _sweep_exit(sweep, False)
 
 
 def cmd_chaos(args) -> int:

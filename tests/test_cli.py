@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.verifysweep import verifiable_schemes
 from repro.cli import main
 
 
@@ -158,7 +159,23 @@ def test_verify_subcommand_sarif(tmp_path, capsys):
 
     doc = json.loads(sarif_path.read_text())
     assert validate_sarif(doc) == []
-    assert str(sarif_path) in capsys.readouterr().out
+    assert str(sarif_path) in capsys.readouterr().err
+
+
+def test_verify_sarif_with_json_keeps_stdout_pure_json(tmp_path, capsys):
+    import json
+
+    sarif_path = tmp_path / "verify.sarif"
+    argv = ["verify", "--scheme", "all", "--workload", "queue",
+            "--ops", "3", "--init", "6", "--budget", "64",
+            "--sarif", str(sarif_path), "--json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)  # no notice line ahead of the document
+    assert doc["tool"] == "persist-verify"
+    assert len(doc["results"]) == len(verifiable_schemes())
+    assert sarif_path.exists()
+    assert str(sarif_path) in captured.err
 
 
 def test_verify_rules_catalog(capsys):
