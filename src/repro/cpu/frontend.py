@@ -6,9 +6,11 @@ queue, log registers, LogQ) was exhausted.  The core counts one stall
 per tick that dispatched nothing while the trace still had instructions,
 attributed to the first blocking resource it met.  A core parked in a
 think-chain window adds its ``stall.rob`` ticks in bulk when the window
-is rebuilt.  Cycles the simulation loop jumps over count nothing yet, so
-a stall counts a loop iteration, not a simulated cycle; ROADMAP.md
-tracks counting every simulated cycle.
+is rebuilt, and a core held at a fence adds its ``stall.rob`` ticks, one
+per loop iteration it sat out, in bulk when it is released.  Cycles the
+simulation loop jumps over count nothing yet, so a stall counts a loop
+iteration, not a simulated cycle; ROADMAP.md tracks counting every
+simulated cycle.
 """
 
 from __future__ import annotations

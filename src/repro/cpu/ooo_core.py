@@ -17,7 +17,9 @@ behind an executing head, with nothing left to drain, counts a
 completed fence held at the head by the store backlog counts a
 ``retire_blocked.fence`` (and a ``stall.rob`` while the trace has
 instructions left) until a store or flush is acknowledged or a pcommit
-drains (``waiting_on_fence``).
+drains (``waiting_on_fence``).  Only a traced run ticks a core through
+that wait: an untraced loop holds the core out of its tick list and
+charges the ticks in bulk (:meth:`OooCore.charge_fence_wait`).
 
 Most of a lowered stream is think-chain links: latency-2 ALU
 instructions, each ``dep=1`` on the one before, sharing one record.
@@ -243,7 +245,9 @@ class OooCore:
             return False
         if self.waiting_on_fence:
             # Nothing retires past the fence, so nothing drains or frees
-            # a ROB slot, until an acknowledgment clears the flag.
+            # a ROB slot, until an acknowledgment clears the flag.  Only
+            # a traced run ticks a core here; an untraced loop holds it
+            # out and charges these ticks in bulk (charge_fence_wait).
             self._count_fence_block(self.rob[0])
             frontend = self.frontend
             if not frontend.exhausted():
@@ -437,6 +441,24 @@ class OooCore:
         stalls = cycle - 1 - park_cycle - ticked
         if stalls:
             stats.add("stall.rob", stalls)
+
+    def charge_fence_wait(self, ticks: int) -> None:
+        """Count ``ticks`` ticks of a core waiting on a held fence, each
+        one ``retire_blocked.fence`` plus a ``stall.rob`` while the trace
+        has instructions left, as :meth:`tick` counts them.
+
+        ``Simulator.run`` holds a core whose tick left
+        ``waiting_on_fence`` set out of its tick list, and calls this
+        with the loop iterations the core sat out once an event clears
+        the flag, or before a halt or an error reports the machine.
+        Nothing dispatches meanwhile, so the trace's end does not move,
+        and the tick that set the flag added both counters, so bulk
+        adds cannot change counter order.
+        """
+        if ticks:
+            self.stats.add("retire_blocked.fence", ticks)
+            if not self.frontend.exhausted():
+                self.stats.add("stall.rob", ticks)
 
     # -- completion plumbing -------------------------------------------------------
 

@@ -13,9 +13,21 @@ run; the loop treats both alike, by the cycle ``park`` returns.  While
 a parked core and a live core coexist the loop steps one cycle at a
 time, as the parked core's own schedule would make it; once every live
 core is parked it jumps to the next event, the earliest window end or
-the cycle budget.  A halt or a budget error first rebuilds every parked
-core (``OooCore.unpark``), so the state it leaves is the one ticking would
-have left.  No parking happens under a live tracer.
+the cycle budget.
+
+A core whose tick leaves ``waiting_on_fence`` set is held: it leaves the
+tick list until an event in the loop's fire step clears the flag, since
+until then each tick would only count ``retire_blocked.fence`` and a
+``stall.rob``.  The loop counts its iterations, and on release the core
+adds those counters once per iteration it sat out
+(``OooCore.charge_fence_wait``), then rejoins the tick list in core
+order.  A held core counts as live when the loop decides whether to step
+or jump while cores are parked, and whether it may exit.
+
+A halt, a budget error or a deadlock first rebuilds every parked core
+(``OooCore.unpark``) and charges every held core, so the state it leaves
+is the one ticking would have left.  No parking or holding happens under
+a live tracer.
 """
 
 from __future__ import annotations
@@ -277,24 +289,34 @@ class Simulator:
         # is unparked, and the earliest of those cycles.
         parked: Dict[OooCore, int] = {}
         resume_at = _NEVER
+        # Cores held at a fence -> the iteration whose tick held them.
+        # Only an event clears ``waiting_on_fence``, and until one does a
+        # tick only counts the stalls, so a held core sits out the ticks
+        # and is charged per iteration on release.  A live tracer must
+        # see every tick's stall instants, so it holds no core.
+        held: Dict[OooCore, int] = {}
+        holding = not self.tracer.enabled
+        iteration = 0
         while True:
             if engine.halted:
-                self._unpark(parked)
+                self._settle(parked, held, iteration)
                 raise SimulationHalted(engine.cycle, engine.halt_reason)
             if engine.cycle >= resume_at:
                 for core, at in list(parked.items()):
                     if at <= engine.cycle:
                         del parked[core]
                         core.unpark()
-                live = [core for core in self.cores if core not in parked]
+                live = [
+                    core for core in self.cores if core not in parked and core not in held
+                ]
                 resume_at = min(parked.values(), default=_NEVER)
             if sampler is not None:
                 sampler.maybe_sample()
             live = [core for core in live if not core.finished()]
-            if not live and not parked:
+            if not live and not parked and not held:
                 break
             if engine.cycle >= max_cycles:
-                self._unpark(parked)
+                self._settle(parked, held, iteration)
                 raise RuntimeError(
                     f"simulation exceeded its budget of {max_cycles} cycles "
                     f"at cycle {engine.cycle} "
@@ -302,10 +324,18 @@ class Simulator:
                 )
             fired = engine.fire_due_events()
             if engine.halted:
-                self._unpark(parked, fired=True)
+                self._settle(parked, held, iteration, fired=True)
                 raise SimulationHalted(engine.cycle, engine.halt_reason)
+            if fired and held:
+                released = [core for core in held if not core.waiting_on_fence]
+                if released:
+                    for core in released:
+                        core.charge_fence_wait(iteration - held.pop(core))
+                    # Released cores tick again, in core order.
+                    live = [core for core in self.cores if core in live or core in released]
+            iteration += 1
             progress = False
-            parking = False
+            leaving = False
             for core in live:
                 if core.tick():
                     progress = True
@@ -313,14 +343,18 @@ class Simulator:
                     until = core.park()
                     if until is not None:
                         parked[core] = until
-                        parking = True
-            if parking:
-                live = [core for core in live if core not in parked]
-                resume_at = min(parked.values())
+                        resume_at = min(resume_at, until)
+                        leaving = True
+                elif core.waiting_on_fence and holding:
+                    held[core] = iteration
+                    leaving = True
+            if leaving:
+                live = [core for core in live if core not in parked and core not in held]
             if parked:
                 # A parked core's own schedule visits every cycle of its
-                # window, so the loop steps while other cores are live.
-                if live:
+                # window, so the loop steps while other cores are live; a
+                # held core counts as live.
+                if live or held:
                     engine.advance(1)
                     continue
                 target = min(resume_at, max_cycles)
@@ -334,6 +368,7 @@ class Simulator:
                 continue
             next_cycle = engine.next_event_cycle()
             if next_cycle is None:
+                self._settle(parked, held, iteration)
                 raise RuntimeError(
                     f"deadlock: no core can progress and no events are "
                     f"pending (scheme={self.scheme}, {self._progress_report()})"
@@ -350,12 +385,21 @@ class Simulator:
         )
 
     @staticmethod
-    def _unpark(parked: Dict[OooCore, int], fired: bool = False) -> None:
-        """Rebuild every parked core at the current cycle (see
-        :meth:`OooCore.unpark`) before a halt or an error reports it."""
+    def _settle(
+        parked: Dict[OooCore, int],
+        held: Dict[OooCore, int],
+        iteration: int,
+        fired: bool = False,
+    ) -> None:
+        """Before a halt or an error reports the machine, rebuild every
+        parked core at the current cycle (see :meth:`OooCore.unpark`)
+        and charge every held core the iterations it sat out."""
         for core in parked:
             core.unpark(fired)
         parked.clear()
+        for core, held_at in held.items():
+            core.charge_fence_wait(iteration - held_at)
+        held.clear()
 
     def _final_drain(self) -> None:
         """Flush remaining controller-side writes so NVM write counts are
