@@ -1,7 +1,7 @@
 """Memory system: cache hierarchy, memory controller (WPQ/LPQ), and the
 NVM/DRAM device bank model."""
 
-from repro.mem.cache import Cache, CacheLine
+from repro.mem.cache import Cache
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.memctrl import MemoryController
 from repro.mem.nvm import NvmDevice, NvmRequest
@@ -10,7 +10,6 @@ from repro.mem.wpq import PendingQueue
 __all__ = [
     "Cache",
     "CacheHierarchy",
-    "CacheLine",
     "MemoryController",
     "NvmDevice",
     "NvmRequest",

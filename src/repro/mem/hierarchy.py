@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from repro.mem.cache import Cache, CacheLine
+from repro.mem.cache import Cache, Victim
 from repro.mem.memctrl import MemoryController
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
@@ -53,15 +53,15 @@ class CacheHierarchy:
         self.memctrl.write(line_addr, category="data", thread_id=thread_id)
 
     def _handle_victim(
-        self, victim: Optional[CacheLine], next_level: Optional[Cache], core: int
+        self, victim: Optional[Victim], next_level: Optional[Cache], core: int
     ) -> None:
         """Push a dirty victim one level down (or to memory from the L3)."""
-        if victim is None or not victim.dirty:
+        if victim is None or not victim[1]:
             return
         if next_level is None:
-            self._writeback(victim.addr, core)
+            self._writeback(victim[0], core)
             return
-        inner_victim = next_level.fill(victim.addr, dirty=True)
+        inner_victim = next_level.fill(victim[0], dirty=True)
         if next_level is self.l3:
             self._handle_victim(inner_victim, None, core)
         else:
@@ -144,29 +144,32 @@ class CacheHierarchy:
         l1 = self.l1[core]
         l2 = self.l2[core]
 
-        line = l1.lookup(line_addr)
-        if line is not None:
+        if is_write:
+            hit = l1.mark_dirty(line_addr)
+        else:
+            hit = l1.lookup(line_addr) is not None
+        if hit:
             self.stats.add("l1.hits")
-            if is_write:
-                line.dirty = True
             self.engine.schedule(self.config.l1.latency, on_complete)
             return
 
-        line = l2.lookup(line_addr)
-        if line is not None:
+        dirty = l2.lookup(line_addr)
+        if dirty is not None:
             self.stats.add("l2.hits")
-            dirty = line.dirty or is_write
-            line.dirty = False  # ownership moves up to L1
+            if dirty:
+                l2.clean(line_addr)  # ownership moves up to L1
+            dirty = dirty or is_write
             victim1 = l1.fill(line_addr, dirty=dirty)
             self._handle_victim(victim1, l2, core)
             self.engine.schedule(self.config.l2.latency, on_complete)
             return
 
-        line = self.l3.lookup(line_addr)
-        if line is not None:
+        dirty = self.l3.lookup(line_addr)
+        if dirty is not None:
             self.stats.add("l3.hits")
-            dirty = line.dirty or is_write
-            line.dirty = False
+            if dirty:
+                self.l3.clean(line_addr)
+            dirty = dirty or is_write
             victim2 = l2.fill(line_addr)
             self._handle_victim(victim2, self.l3, core)
             victim1 = l1.fill(line_addr, dirty=dirty)
@@ -221,12 +224,10 @@ class CacheHierarchy:
         dirty = False
         for cache in (self.l1[core], self.l2[core], self.l3):
             if invalidate:
-                line = cache.invalidate(line_addr)
-                if line is not None and line.dirty:
+                if cache.invalidate(line_addr):
                     dirty = True
-            else:
-                if cache.clean(line_addr):
-                    dirty = True
+            elif cache.clean(line_addr):
+                dirty = True
         if dirty:
             self.stats.add("hierarchy.flushes")
             self.memctrl.write(
@@ -240,7 +241,6 @@ class CacheHierarchy:
         """True when the line is dirty at any level reachable by the core."""
         line_addr = addr & ~63
         for cache in (self.l1[core], self.l2[core], self.l3):
-            line = cache.lookup(line_addr, update_lru=False)
-            if line is not None and line.dirty:
+            if cache.lookup(line_addr, update_lru=False):
                 return True
         return False

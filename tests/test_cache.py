@@ -22,9 +22,7 @@ def test_fill_and_lookup():
     cache = make_cache()
     assert cache.lookup(0x100) is None
     assert cache.fill(0x100) is None
-    line = cache.lookup(0x100)
-    assert line is not None
-    assert not line.dirty
+    assert cache.lookup(0x100) is False  # resident and clean
 
 
 def test_lru_eviction_order():
@@ -33,8 +31,7 @@ def test_lru_eviction_order():
     cache.fill(0x040)
     cache.lookup(0x000)          # refresh 0x000; LRU is now 0x040
     victim = cache.fill(0x080)
-    assert victim is not None
-    assert victim.addr == 0x040
+    assert victim == (0x040, False)
 
 
 def test_dirty_victim_reported():
@@ -42,15 +39,14 @@ def test_dirty_victim_reported():
     cache.fill(0x000, dirty=True)
     cache.fill(0x040)
     victim = cache.fill(0x080)
-    assert victim.addr == 0x000
-    assert victim.dirty
+    assert victim == (0x000, True)
 
 
 def test_refill_merges_dirty_bit():
     cache = make_cache()
     cache.fill(0x100, dirty=True)
     assert cache.fill(0x100, dirty=False) is None
-    assert cache.lookup(0x100).dirty  # dirty preserved
+    assert cache.lookup(0x100) is True  # dirty preserved
 
 
 def test_mark_dirty_and_clean():
@@ -58,17 +54,20 @@ def test_mark_dirty_and_clean():
     assert not cache.mark_dirty(0x100)  # not resident
     cache.fill(0x100)
     assert cache.mark_dirty(0x100)
+    assert cache.lookup(0x100) is True
     assert cache.clean(0x100)
+    assert cache.lookup(0x100) is False
     assert not cache.clean(0x100)  # already clean
 
 
 def test_invalidate_removes_line():
     cache = make_cache()
     cache.fill(0x100, dirty=True)
-    line = cache.invalidate(0x100)
-    assert line.dirty
+    assert cache.invalidate(0x100) is True  # it was dirty
     assert cache.lookup(0x100) is None
     assert cache.invalidate(0x100) is None
+    cache.fill(0x140)
+    assert cache.invalidate(0x140) is False  # resident and clean
 
 
 def test_dirty_lines_enumeration():
@@ -87,4 +86,4 @@ def test_sets_are_independent():
     assert cache.lookup(0x000) is not None
     assert cache.lookup(0x040) is not None
     victim = cache.fill(0x100)  # same set as 0x000 (4 sets * 64B stride)
-    assert victim is not None and victim.addr == 0x000
+    assert victim == (0x000, False)

@@ -78,8 +78,9 @@ def test_flush_cleans_all_levels():
     hierarchy.flush_line(0, 0x30000, invalidate=False, thread_id=0,
                          on_durable=lambda: done.append(True))
     engine.run_until_idle()
-    assert not hierarchy.l1[0].lookup(0x30000).dirty
-    assert not hierarchy.l2[0].lookup(0x30000).dirty
+    # Still resident at both levels, and clean.
+    assert hierarchy.l1[0].lookup(0x30000) is False
+    assert hierarchy.l2[0].lookup(0x30000) is False
     # One coalesced WPQ write, not two.
     assert stats.get("wpq.admitted") == 1
 

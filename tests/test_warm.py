@@ -12,6 +12,7 @@ the same values in the same order.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -97,17 +98,23 @@ def test_warm_matches_per_line_install(seed):
 
 def test_a_sweep_builds_only_the_lines_that_survive(monkeypatch):
     levels = [(4, 2), (8, 2), (16, 4)]
+    built = []
+
+    class CountingSet(OrderedDict):
+        """A cache set that records every line inserted into it."""
+
+        def __setitem__(self, addr, dirty):
+            built.append(addr)
+            super().__setitem__(addr, dirty)
+
+    # Every set the hierarchy starts with, and every set a sweep builds,
+    # counts its inserts.
+    monkeypatch.setattr(cache_module, "OrderedDict", CountingSet)
     __, stats, hierarchy = make(2, *levels)
+    monkeypatch.undo()
     __, ref_stats, reference = make(2, *levels)
     lines = range(BASE + 64 * 3, BASE + 64 * 1000, 64)
-    built = []
-    real_line = cache_module.CacheLine
-
-    def counting_line(addr, dirty=False):
-        built.append(addr)
-        return real_line(addr, dirty)
-
-    monkeypatch.setattr(cache_module, "CacheLine", counting_line)
+    monkeypatch.setattr(cache_module, "OrderedDict", CountingSet)
     hierarchy.warm(1, lines)
     monkeypatch.undo()
     assert len(built) == sum(sets * ways for sets, ways in levels)
