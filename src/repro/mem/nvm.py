@@ -68,6 +68,8 @@ class NvmDevice:
         self.stats = stats
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._banks = [_Bank() for _ in range(config.banks)]
+        #: writes queued at the banks, not counting those in service
+        self._queued_writes = 0
         self._drain_callbacks: List[Callable[[], None]] = []
         #: optional hook fired after every request completion; the memory
         #: controller uses it to re-evaluate pcommit drain waiters.
@@ -93,6 +95,7 @@ class NvmDevice:
         bank = self._banks[self.bank_of(request.addr)]
         if request.is_write:
             bank.queue.append(request)
+            self._queued_writes += 1
         else:
             insert_at = 0
             for insert_at, queued in enumerate(bank.queue):
@@ -109,10 +112,7 @@ class NvmDevice:
 
     def outstanding_writes(self) -> int:
         """Writes queued (not counting the one currently in service)."""
-        return sum(
-            sum(1 for request in bank.queue if request.is_write)
-            for bank in self._banks
-        )
+        return self._queued_writes
 
     def is_idle(self) -> bool:
         """True when no bank has queued or in-flight work."""
@@ -145,6 +145,7 @@ class NvmDevice:
             bank.open_row = int(open_row)
             bank.queue = []
             bank.busy = False
+        self._queued_writes = 0
 
     def notify_when_drained(self, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` once every queued request has completed.
@@ -189,6 +190,8 @@ class NvmDevice:
             return
         bank.busy = True
         request = self._select(bank)
+        if request.is_write:
+            self._queued_writes -= 1
         row_hit = (request.addr >> ROW_SHIFT) == bank.open_row
         latency = self._service_latency(bank, request)
         if self.tracer.enabled:

@@ -1,5 +1,7 @@
 """Unit tests for the NVM/DRAM device bank model."""
 
+import random
+from functools import partial
 
 from repro.mem.nvm import NvmDevice, NvmRequest, ROW_SHIFT
 from repro.sim.config import MemoryConfig
@@ -106,3 +108,54 @@ def test_notify_when_drained():
     device.notify_when_drained(lambda: fired.append(engine.cycle))
     engine.run_until_idle()
     assert fired == [0, 300]
+
+
+def scanned_writes(device):
+    """Queued writes, by a scan of every bank's queue."""
+    return sum(request.is_write for bank in device._banks for request in bank.queue)
+
+
+def test_write_backlog_count_matches_a_scan_of_the_banks():
+    """``outstanding_writes`` reads a count kept at submit and at service
+    start; after every submit, start and finish of a mixed read/write
+    stream with row hits and row misses it equals a scan of the bank
+    queues."""
+    engine, stats, device = make_device(banks=2, read=40, write=90, row_hit=5)
+    seen = []
+
+    def check(event):
+        assert device.outstanding_writes() == scanned_writes(device), event
+        seen.append((event, device.outstanding_writes()))
+
+    start, finish = device._maybe_start, device._finish
+
+    def checked_start(bank):
+        start(bank)
+        check("start")
+
+    def checked_finish(bank, request):
+        finish(bank, request)
+        check("finish")
+
+    # Instance attributes: submit, the service loop and the scheduled
+    # completions all reach these.
+    device._maybe_start = checked_start
+    device._finish = checked_finish
+
+    def submit(request):
+        device.submit(request)
+        check("submit")
+
+    rng = random.Random(5)
+    for _ in range(300):
+        # Four rows over two banks, a few lines each: row hits and misses.
+        addr = (rng.randrange(4) << ROW_SHIFT) + 64 * rng.randrange(4)
+        request = NvmRequest(addr, is_write=rng.random() < 0.6)
+        engine.schedule_at(rng.randrange(2000), partial(submit, request))
+    engine.run_until_idle()
+
+    assert {event for event, _ in seen} == {"submit", "start", "finish"}
+    assert max(backlog for _, backlog in seen) > 2
+    assert device.outstanding_writes() == 0
+    assert stats.get("nvm.row_hits") and stats.get("nvm.row_misses")
+    assert stats.get("nvm.reads") and stats.nvm_writes()
