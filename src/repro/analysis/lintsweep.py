@@ -38,8 +38,9 @@ class LintSweepResult:
 
     @property
     def passed(self) -> bool:
-        """True when no combination produced an error diagnostic."""
-        return all(result.ok for result in self.results)
+        """True when every combination ran and none produced an error
+        diagnostic; a quarantined cell leaves the verdict incomplete."""
+        return not self.quarantined and all(result.ok for result in self.results)
 
     def failing(self) -> List[LintResult]:
         return [result for result in self.results if not result.ok]

@@ -40,7 +40,9 @@ class VerifySweepResult:
 
     @property
     def passed(self) -> bool:
-        return all(report.clean for report in self.results)
+        """True when every combination ran and none found a
+        counterexample; a quarantined cell leaves the verdict incomplete."""
+        return not self.quarantined and all(report.clean for report in self.results)
 
     def failing(self) -> List[CheckReport]:
         return [report for report in self.results if not report.clean]

