@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import DEFAULT_SEED, benchmark_traces
 from repro.analysis.report import format_table
-from repro.analysis.sweep import matrix_sweep
+from repro.analysis.sweep import matrix_sweep, paper_order
 from repro.core.schemes import FIGURE_ORDER, Scheme
 from repro.obs.spans import ATTRIBUTION_CLASSES, attribution_totals, build_tx_spans
 from repro.obs.tracer import Tracer
@@ -91,7 +91,7 @@ class ProfileSweepResult:
 
     def report(self) -> str:
         """Bottleneck-attribution report across the swept matrix."""
-        workloads = sorted({cell.workload for cell in self.cells})
+        workloads = paper_order(cell.workload for cell in self.cells)
         schemes = [
             scheme
             for scheme in FIGURE_ORDER

@@ -17,6 +17,7 @@ from functools import partial
 from typing import (
     Any,
     Callable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -111,6 +112,18 @@ def matrix_sweep(
     return [value for value in values if value is not None], quarantined
 
 
+def paper_order(workloads: Iterable[str]) -> List[str]:
+    """The distinct ``workloads`` in the paper's order
+    (``BENCHMARK_ORDER``), any others after them by name."""
+    return sorted(
+        set(workloads),
+        key=lambda w: (
+            BENCHMARK_ORDER.index(w) if w in BENCHMARK_ORDER else 99,
+            w,
+        ),
+    )
+
+
 def matrix_report(
     title: str,
     results: Sequence[Any],
@@ -126,13 +139,7 @@ def matrix_report(
     and the quarantine footer follow the matrix.
     """
     schemes = sorted({str(r.scheme) for r in results})
-    workloads = sorted(
-        {r.workload for r in results},
-        key=lambda w: (
-            BENCHMARK_ORDER.index(w) if w in BENCHMARK_ORDER else 99,
-            w,
-        ),
-    )
+    workloads = paper_order(r.workload for r in results)
     cell = {(str(r.scheme), r.workload): r for r in results}
     label = max(14, max((len(s) for s in schemes), default=14))
     lines = [
