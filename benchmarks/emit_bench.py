@@ -26,13 +26,9 @@ Sweeps run through the parallel sweep runner (``repro.parallel``):
 — serial cold, parallel cold, warm cache — verifying the three produce
 byte-identical results and recording the wall times in the run record.
 
-Checkpointing comparisons (``repro.snapshot``): ``--compare-faults``
+Checkpointing comparison (``repro.snapshot``): ``--compare-faults``
 times one crash campaign cold (every case simulates from reset) vs
-launched from a warm checkpoint, verifying both pass;
-``--compare-sampling`` times the full detailed run of two workloads vs
-SMARTS-style interval sampling, recording wall times, the sampled
-estimates with their confidence intervals, and the relative error
-against the full run.
+launched from a warm checkpoint, verifying both pass.
 
 Crash-safety comparison (``repro.parallel.resilience``):
 ``--compare-resilience`` times one evaluation sweep three ways —
@@ -291,68 +287,6 @@ def compare_faults(seed: int) -> dict:
     }
 
 
-def compare_sampling(threads: int, seed: int) -> dict:
-    """Time full detailed runs vs interval sampling on two workloads.
-
-    Records, per workload, the two wall times and the sampled estimates
-    (mean ± CI half-width) next to the full-run reference values.
-    """
-    from repro.core.schemes import Scheme
-    from repro.parallel.cellspec import CellSpec
-    from repro.parallel.runner import execute_cell
-    from repro.sim.config import fast_nvm_config
-    from repro.snapshot import SamplingParams, run_sampled
-
-    params = SamplingParams(intervals=6, warmup_ops=20, measure_ops=30)
-    records = []
-    for workload in ("QE", "HM"):
-        cell = CellSpec(
-            workload=workload,
-            scheme=Scheme.PROTEUS,
-            config=fast_nvm_config(cores=threads),
-            threads=threads,
-            seed=seed,
-            init_ops=1000,
-            sim_ops=600,
-        )
-        start = time.perf_counter()
-        full = execute_cell(cell)
-        full_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        report = run_sampled(cell, params, strict=False)
-        sampled_s = time.perf_counter() - start
-
-        full_ipc = (
-            full.stats.counters["retired_instructions"] / full.cycles
-        )
-        ipc = report.estimates["ipc"]
-        rel_err = abs(ipc.mean - full_ipc) / full_ipc
-        entry = {
-            "workload": workload,
-            "sim_ops": cell.sim_ops,
-            "detailed_ops": report.detailed_ops,
-            "full_wall_time_s": round(full_s, 3),
-            "sampled_wall_time_s": round(sampled_s, 3),
-            "full_ipc": round(full_ipc, 4),
-            "sampled_ipc": round(ipc.mean, 4),
-            "ipc_ci_half_width": round(ipc.ci_half_width, 4),
-            "ipc_rel_error": round(rel_err, 4),
-        }
-        log_writes = full.stats.counters.get("nvm.write.log", 0)
-        admitted = full.stats.counters.get("lpq.admitted", 0)
-        if admitted and "log_write_drop" in report.estimates:
-            drop = report.estimates["log_write_drop"]
-            entry["full_log_write_drop"] = round(1.0 - log_writes / admitted, 4)
-            entry["sampled_log_write_drop"] = round(drop.mean, 4)
-            entry["log_write_drop_ci_half_width"] = round(drop.ci_half_width, 4)
-        records.append(entry)
-        print(f"  sampling[{workload}]  full {full_s:7.2f}s  "
-              f"sampled {sampled_s:7.2f}s  ipc err {rel_err:.2%} "
-              f"(±{ipc.rel_ci:.2%} CI)")
-    return {"params": params.to_dict(), "workloads": records}
-
-
 def compare_verify(seed: int, budget=None) -> dict:
     """Model-check one workload per failure-safe scheme; record the
     state-space size (crash points, frontiers) and wall time per scheme
@@ -424,9 +358,6 @@ def main(argv=None) -> int:
     parser.add_argument("--compare-faults", action="store_true",
                         help="also time one crash campaign cold vs "
                              "warm-checkpointed")
-    parser.add_argument("--compare-sampling", action="store_true",
-                        help="also time full vs sampled simulation on "
-                             "two workloads")
     parser.add_argument("--compare-verify", action="store_true",
                         help="also model-check one workload per "
                              "failure-safe scheme, recording frontier "
@@ -476,9 +407,6 @@ def main(argv=None) -> int:
     faults_comparison = None
     if args.compare_faults:
         faults_comparison = compare_faults(args.seed)
-    sampling_comparison = None
-    if args.compare_sampling:
-        sampling_comparison = compare_sampling(1, args.seed)
     verify_comparison = None
     if args.compare_verify:
         verify_comparison = compare_verify(args.seed, args.verify_budget)
@@ -516,8 +444,6 @@ def main(argv=None) -> int:
         record["resilience_comparison"] = resilience_comparison
     if faults_comparison is not None:
         record["faults_comparison"] = faults_comparison
-    if sampling_comparison is not None:
-        record["sampling_comparison"] = sampling_comparison
     if verify_comparison is not None:
         record["verify_comparison"] = verify_comparison
     doc["runs"].append(record)

@@ -23,12 +23,10 @@ Subcommands:
   campaigns that SIGKILL workers mid-cell, hang them past the timeout,
   corrupt the journal and cache on disk, then assert every resumed run
   is byte-identical to an undisturbed serial run.
-* ``snapshot`` — deterministic machine checkpoints and sampled
-  simulation: ``create`` (simulate or fast-forward to an offset and
-  store/write the checkpoint), ``inspect`` (print its metadata),
-  ``resume`` (run the continuation to completion), and ``sample``
-  (SMARTS-style interval sampling with per-metric confidence
-  intervals; exits 1 when a CI exceeds the threshold).
+* ``snapshot`` — deterministic machine checkpoints: ``create``
+  (simulate to an offset and store/write the checkpoint), ``inspect``
+  (print its metadata), and ``resume`` (run the continuation to
+  completion).
 * ``bench`` — run-level results observability over the benchmark
   trajectory (``BENCH_results.json``): ``gate`` (paper-fidelity +
   baseline-drift regression gate; exits 1 on drift beyond tolerance),
@@ -54,7 +52,6 @@ Examples::
     python -m repro snapshot create --workload QE --offset 20 --out qe.ckpt.json
     python -m repro snapshot inspect --in qe.ckpt.json
     python -m repro snapshot resume --in qe.ckpt.json
-    python -m repro snapshot sample --workload HM --ops 200 --intervals 7
     python -m repro faults --scheme proteus --workload queue --warm-start 6
     python -m repro bench gate --fidelity-only
     python -m repro bench render --out dashboard.html
@@ -268,40 +265,6 @@ def _checkpoint_store(args):
     return CheckpointStore(ResultCache(args.cache_dir or default_cache_dir()))
 
 
-def _snapshot_sample(args) -> int:
-    from repro.parallel.cache import ResultCache, default_cache_dir
-    from repro.parallel.runner import SweepRunner
-    from repro.snapshot import SamplingError, SamplingParams
-
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir or default_cache_dir()
-    )
-    runner = SweepRunner(jobs=1, cache=cache)
-    cell = _cellspec(args)
-    params = SamplingParams(
-        intervals=args.intervals,
-        warmup_ops=args.warmup,
-        measure_ops=args.measure,
-        confidence=args.confidence,
-        max_rel_ci=args.max_rel_ci,
-    )
-    try:
-        report = runner.run_sampled([cell], params, strict=not args.lenient)[0]
-    except SamplingError as err:
-        print(f"refused: {err}", file=sys.stderr)
-        return 1
-    full_ops = cell.sim_ops * max(1, cell.threads)
-    print(f"{cell.workload} under {cell.scheme} sampled at "
-          f"{len(report.offsets)} interval(s): "
-          f"{report.detailed_ops}/{full_ops} ops simulated in detail")
-    for name, estimate in sorted(report.estimates.items()):
-        print(f"  {name:20s} {estimate.mean:10.4f} "
-              f"± {estimate.ci_half_width:.4f} "
-              f"({estimate.rel_ci:.2%} at {params.confidence:.0%} confidence)")
-    print(runner.describe())
-    return 0
-
-
 def cmd_snapshot(args) -> int:
     import json
 
@@ -314,9 +277,6 @@ def cmd_snapshot(args) -> int:
         snapshot_digest,
     )
 
-    if args.action == "sample":
-        return _snapshot_sample(args)
-
     if args.action in ("inspect", "resume") and args.infile:
         with open(args.infile) as handle:
             checkpoint = payload_to_checkpoint(json.load(handle))
@@ -324,15 +284,15 @@ def cmd_snapshot(args) -> int:
         cell = _cellspec(args)
         store = _checkpoint_store(args)
         if store is None:
-            checkpoint = create_checkpoint(cell, args.offset, kind=args.kind)
+            checkpoint = create_checkpoint(cell, args.offset)
         else:
-            checkpoint = store.get_or_create(cell, args.offset, kind=args.kind)
+            checkpoint = store.get_or_create(cell, args.offset)
 
     machine = checkpoint.machine
     if args.action == "create":
         print(f"{checkpoint.cell.workload} under {machine.scheme} "
               f"checkpointed at {checkpoint.op_offset}/{checkpoint.cell.sim_ops} "
-              f"measured ops ({checkpoint.kind}), cycle {machine.cycle:,}")
+              f"measured ops (detailed), cycle {machine.cycle:,}")
         print(f"  digest: {snapshot_digest(machine)}")
         if not args.no_cache:
             print(f"  {store.describe()}")
@@ -346,8 +306,7 @@ def cmd_snapshot(args) -> int:
 
     if args.action == "inspect":
         cell = checkpoint.cell
-        print(f"checkpoint ({checkpoint.kind}) — snapshot schema "
-              f"v{SNAPSHOT_SCHEMA_VERSION}")
+        print(f"checkpoint (detailed) — snapshot schema v{SNAPSHOT_SCHEMA_VERSION}")
         print(f"  cell:     {cell.workload} x {machine.scheme} "
               f"({cell.threads} thread(s), seed {cell.seed}, "
               f"init {cell.init_ops}, sim {cell.sim_ops})")
@@ -361,7 +320,7 @@ def cmd_snapshot(args) -> int:
 
     result = resume_run(checkpoint)
     print(f"resumed {checkpoint.cell.workload} under {machine.scheme} from "
-          f"op {checkpoint.op_offset} ({checkpoint.kind} checkpoint):")
+          f"op {checkpoint.op_offset} (detailed checkpoint):")
     print(f"  cycles:       {result.cycles:,} (from {machine.cycle:,})")
     print(f"  instructions: {result.stats.instructions():,}")
     print(f"  IPC:          {result.ipc:.2f}")
@@ -739,21 +698,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     snapshot_parser = subparsers.add_parser(
         "snapshot",
-        help="machine checkpoints (create/inspect/resume) and sampled runs",
+        help="machine checkpoints (create/inspect/resume)",
     )
     snapshot_parser.add_argument(
-        "action", choices=["create", "inspect", "resume", "sample"]
+        "action", choices=["create", "inspect", "resume"]
     )
     _add_workload_args(snapshot_parser)
     snapshot_parser.add_argument("--scheme", default="Proteus")
     snapshot_parser.add_argument(
         "--offset", type=int, default=0, metavar="OPS",
         help="measured-op offset of the checkpoint (create/inspect/resume)",
-    )
-    snapshot_parser.add_argument(
-        "--kind", default="detailed", choices=["detailed", "functional"],
-        help="checkpoint fidelity: simulate the prefix (detailed) or "
-             "fast-forward it functionally",
     )
     snapshot_parser.add_argument(
         "--out", default=None, metavar="FILE",
@@ -771,24 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_parser.add_argument(
         "--no-cache", action="store_true",
         help="build checkpoints in memory only, skip the store",
-    )
-    snapshot_parser.add_argument("--intervals", type=int, default=5,
-                                 help="sampling intervals (sample)")
-    snapshot_parser.add_argument("--warmup", type=int, default=10,
-                                 help="detailed warmup ops per interval")
-    snapshot_parser.add_argument("--measure", type=int, default=20,
-                                 help="detailed measured ops per interval")
-    snapshot_parser.add_argument(
-        "--confidence", type=float, default=0.95,
-        help="confidence level for the per-metric intervals",
-    )
-    snapshot_parser.add_argument(
-        "--max-rel-ci", type=float, default=0.02,
-        help="refuse the report when a relative CI half-width exceeds this",
-    )
-    snapshot_parser.add_argument(
-        "--lenient", action="store_true",
-        help="report estimates even when a CI exceeds the threshold",
     )
     snapshot_parser.set_defaults(func=cmd_snapshot)
 

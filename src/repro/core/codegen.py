@@ -155,18 +155,6 @@ class CodeGenerator:
             )
         self._sw_log_cursor = value
 
-    def advance_over(self, tx: TxRecord) -> None:
-        """Advance the circular log cursor as if ``tx`` had been lowered.
-
-        Used by the snapshot fast-forward path to compute the cursor a
-        skipped trace prefix would leave behind, without emitting any
-        instructions.  Takes the same slots as :meth:`_lower_software`,
-        from :meth:`alloc_sw_log_slots`.  Non-software schemes consume
-        no slots.
-        """
-        if self.scheme in (Scheme.PMEM, Scheme.PMEM_PCOMMIT):
-            self.alloc_sw_log_slots(tx)
-
     def alloc_sw_log_slots(self, tx: TxRecord) -> List[Tuple[int, int]]:
         """Take the software-log slots of one transaction.
 
@@ -175,8 +163,8 @@ class CodeGenerator:
         covering one line), and each line is copied exactly once or the
         per-entry :data:`SW_LOG_BYTES_PER_LINE` accounting would
         double-count it and the circular log would wrap early.  The
-        lowering, the snapshot fast-forward and the fault tracker's
-        slot map all take their slots here.
+        lowering and the fault tracker's slot map both take their slots
+        here.
         """
         slots: List[Tuple[int, int]] = []
         copied: set = set()

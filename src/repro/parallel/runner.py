@@ -165,12 +165,10 @@ class SweepRunner:
         self._memo: Dict[str, SimResult] = {}
         self.simulated = 0
         self.memo_hits = 0
-        self.sampled = 0
         self.journal_hits = 0
         self.retried = 0
         self.pool_rebuilds = 0
         self.quarantined: List[QuarantineRecord] = []
-        self._checkpoints: Optional[Any] = None  # lazy CheckpointStore
 
     # -- batch execution ---------------------------------------------------
 
@@ -223,38 +221,6 @@ class SweepRunner:
                 f"(see runner.quarantined for the recorded error)"
             )
         return result
-
-    def run_sampled(
-        self,
-        specs: Sequence[CellSpec],
-        params: Optional[Any] = None,
-        strict: bool = True,
-    ) -> List[Any]:
-        """Sample every cell instead of simulating it in full.
-
-        Returns one :class:`~repro.snapshot.sampling.SampleReport` per
-        spec.  Functional checkpoints are content addressed through this
-        runner's cache (when attached), so re-sampling a cell — or
-        sampling it at different window geometries sharing offsets —
-        reuses the fast-forwarded machine states.  Sampling runs inline
-        (the per-interval detailed windows are already small); ``strict``
-        propagates to :func:`~repro.snapshot.sampling.run_sampled`.
-        """
-        # Imported lazily: repro.snapshot imports repro.parallel.
-        from repro.snapshot.checkpoint import CheckpointStore
-        from repro.snapshot.sampling import run_sampled
-
-        if self.cache is not None:
-            if self._checkpoints is None or self._checkpoints.cache is not self.cache:
-                self._checkpoints = CheckpointStore(self.cache)
-            store = self._checkpoints
-        else:
-            store = None
-        reports = []
-        for spec in specs:
-            reports.append(run_sampled(spec, params, store=store, strict=strict))
-            self.sampled += 1
-        return reports
 
     # -- internals ---------------------------------------------------------
 
@@ -330,8 +296,6 @@ class SweepRunner:
             f"runner jobs={self.jobs}: {self.simulated} simulated, "
             f"{self.memo_hits} memo hit(s)"
         ]
-        if self.sampled:
-            parts[0] += f", {self.sampled} sampled"
         if self.journal_hits:
             parts[0] += f", {self.journal_hits} journal hit(s)"
         if self.retried:
@@ -346,8 +310,6 @@ class SweepRunner:
             parts.append(self.journal.describe())
         if self.cache is not None:
             parts.append(self.cache.describe())
-        if self._checkpoints is not None:
-            parts.append(self._checkpoints.describe())
         return "; ".join(parts)
 
     def quarantine_notes(self) -> List[str]:

@@ -1,22 +1,18 @@
-"""Deterministic machine-state checkpointing and sampled simulation.
+"""Deterministic machine-state checkpointing.
 
-Three layers:
+Two layers:
 
 * :mod:`repro.snapshot.format` / :mod:`repro.snapshot.state` — exact,
   versioned snapshot/restore of the full machine at drained quiescent
   points (byte-identical continuation, held by tests);
 * :mod:`repro.snapshot.checkpoint` / :mod:`repro.snapshot.resume` —
-  content-addressed checkpoints (detailed or functionally
-  fast-forwarded) stored alongside cached results, plus resume;
-* :mod:`repro.snapshot.sampling` — SMARTS-style interval sampling with
-  per-metric confidence intervals that refuse to report when too wide.
+  content-addressed checkpoints of a simulated prefix, stored
+  alongside cached results, plus resume.
 
-See ``docs/checkpointing.md`` for the determinism contract and the
-sampling-error methodology.
+See ``docs/checkpointing.md`` for the determinism contract.
 """
 
 from repro.snapshot.checkpoint import (
-    CHECKPOINT_KINDS,
     Checkpoint,
     CheckpointStore,
     checkpoint_key,
@@ -39,28 +35,13 @@ from repro.snapshot.format import (
     snapshot_to_payload,
 )
 from repro.snapshot.resume import resume_run, resume_simulator, resume_traces
-from repro.snapshot.sampling import (
-    MetricEstimate,
-    SampleReport,
-    SamplingError,
-    SamplingParams,
-    estimate_metric,
-    run_sampled,
-    sample_offsets,
-    t_critical,
-)
 from repro.snapshot.state import capture_machine, restore_machine
 
 __all__ = [
-    "CHECKPOINT_KINDS",
     "Checkpoint",
     "CheckpointStore",
     "MachineSnapshot",
-    "MetricEstimate",
     "SNAPSHOT_SCHEMA_VERSION",
-    "SampleReport",
-    "SamplingError",
-    "SamplingParams",
     "SnapshotError",
     "SnapshotFormatError",
     "SnapshotStateError",
@@ -68,7 +49,6 @@ __all__ = [
     "checkpoint_key",
     "checkpoint_to_payload",
     "create_checkpoint",
-    "estimate_metric",
     "load_snapshot",
     "payload_to_checkpoint",
     "payload_to_snapshot",
@@ -76,12 +56,9 @@ __all__ = [
     "resume_run",
     "resume_simulator",
     "resume_traces",
-    "run_sampled",
-    "sample_offsets",
     "save_snapshot",
     "snapshot_bytes",
     "snapshot_digest",
     "snapshot_to_payload",
-    "t_critical",
     "workloads_for",
 ]

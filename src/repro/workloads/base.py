@@ -131,8 +131,9 @@ class Workload:
     def prepare(self) -> None:
         """Run :meth:`setup` once; idempotent.
 
-        Segmented generation (checkpointing, sampling) calls this before
-        slicing the op stream with :meth:`skip` / :meth:`generate_segment`.
+        Segmented generation (checkpoint creation and resume) calls this
+        before slicing the op stream with :meth:`skip` /
+        :meth:`generate_segment`.
         """
         if not self._prepared:
             self.setup()
@@ -164,22 +165,21 @@ class Workload:
         trace.validate()
         return trace
 
-    def skip(self, count: int) -> List[TxRecord]:
+    def skip(self, count: int) -> None:
         """Fast-forward over ``count`` operations without building a trace.
 
         RNG state, the golden image, and transaction-id assignment evolve
         exactly as :meth:`generate_segment` would evolve them, so a
         subsequent segment is byte-identical to the one an uninterrupted
-        generation would have produced.  Returns the consumed transaction
-        records — checkpoint creation replays them to position log
-        cursors.
+        generation would have produced.  Resuming a checkpoint skips its
+        simulated prefix this way.
         """
         if count < 0:
             raise ValueError("skip length must be non-negative")
         self.prepare()
-        consumed = [self.run_op() for _ in range(count)]
+        for _ in range(count):
+            self.run_op()
         self._ops_emitted += count
-        return consumed
 
     def cursor(self) -> Dict[str, int]:
         """Resume cursor: where this workload's op stream currently stands."""

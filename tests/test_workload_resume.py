@@ -49,15 +49,13 @@ def test_segmented_generation_matches_full(code):
 def test_skip_then_generate_matches_suffix(code):
     reference = make(code)
     reference.prepare()
-    prefix = reference.generate_segment(SPLIT)
+    reference.generate_segment(SPLIT)
     suffix = reference.generate_segment(SIZING["sim_ops"] - SPLIT)
 
     resumed = make(code)
-    consumed = resumed.skip(SPLIT)
+    resumed.skip(SPLIT)
     regenerated = resumed.generate_segment(SIZING["sim_ops"] - SPLIT)
 
-    # The skipped transactions are the prefix's transactions.
-    assert consumed == list(prefix.transactions())
     # The regenerated suffix is byte-identical: same ops, same
     # segment-start golden image, same warm footprint.
     assert regenerated.items == suffix.items
