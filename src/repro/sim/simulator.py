@@ -2,9 +2,10 @@
 
 Builds the machine (cores + caches + memory controller) for one logging
 scheme, lowers the per-thread workload traces, and runs the cycle loop to
-completion.  The loop fast-forwards the clock to the next memory event
-whenever every core is stalled, so long NVM latencies cost nothing to
-simulate.
+completion.  The loop fast-forwards the clock to the next memory event,
+or to the cycle budget if that comes first, whenever every core is
+stalled, so long NVM latencies cost nothing to simulate and a budget
+error reports the machine at its budget.
 
 A core that only waits on a think chain is parked (``OooCore.park``):
 it leaves the tick list until its window ends.  Its ROB holds one run
@@ -373,7 +374,7 @@ class Simulator:
                     f"deadlock: no core can progress and no events are "
                     f"pending (scheme={self.scheme}, {self._progress_report()})"
                 )
-            engine.fast_forward(next_cycle)
+            engine.fast_forward(min(next_cycle, max_cycles))
         self.core_finish_cycle = engine.cycle
         self._final_drain()
         self.stats.counters["cycles"] = engine.cycle

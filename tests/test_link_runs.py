@@ -11,7 +11,8 @@ or stopped by its cycle budget, must leave its machine state — the
 counters, the clock, the pending-event cycles and every core's pc,
 waiting flags, queues and ROB, one instruction at a time
 (``OooCore.expanded_rob``).  In the software-logging cells, seeded
-halts and budgets also land inside holds.  Hand-built streams step a
+halts and budgets also land inside holds.  A budget error stops the
+clock on the budget cycle, traced or not.  Hand-built streams step a
 traced and an untraced core side by side and compare their states after
 every tick.
 """
@@ -202,6 +203,25 @@ def test_a_budget_running_out_inside_a_hold_matches(monkeypatch, scheme):
         sim = build_sim(scheme, "HM", 2, traced=False)
         assert outcome(sim, max_cycles=budget) == expected, budget
         assert held_at_stop(sim), budget
+
+
+#: budgets across the PMEM+pcommit QE run; many fall inside the loop's
+#: jumps from an idle cycle to the next event
+BUDGETS = range(1000, 9000, 97)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_budget_error_stops_the_clock_on_the_budget(traced):
+    """Every jump stops at the budget, so a run that exceeds it reports
+    the machine on the budget cycle, never past it."""
+    ended, _ = outcome(build_sim(Scheme.PMEM_PCOMMIT, "QE", 1, traced=traced))
+    assert ended[0] == "finished" and ended[1] > max(BUDGETS)
+    for budget in BUDGETS:
+        sim = build_sim(Scheme.PMEM_PCOMMIT, "QE", 1, traced=traced)
+        (kind, message), _ = outcome(sim, max_cycles=budget)
+        assert kind == "error", budget
+        assert f"at cycle {budget} " in message
+        assert sim.engine.cycle == budget
 
 
 # -- hand-built streams ------------------------------------------------------------
