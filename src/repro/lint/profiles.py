@@ -1,8 +1,8 @@
 """Per-scheme lint profiles.
 
 A profile states *which contract a scheme's lowered stream promises*:
-which rules apply, how undo coverage is provided, how transactions are
-delimited and what grants durability.  The rule engine is generic;
+which rules apply, how undo coverage is provided and how transactions
+are delimited.  The rule engine is generic;
 profiles are the only scheme-specific knowledge it consumes, and every
 field but the rule set follows from the scheme.
 
@@ -44,12 +44,6 @@ class Profile:
     def tx_marks(self) -> bool:
         """The stream carries explicit ``tx-begin``/``tx-end`` marks."""
         return self.logging in ("sshl", "hardware")
-
-    @property
-    def requires_pcommit(self) -> bool:
-        """``sfence`` alone does not persist; a ``pcommit`` must follow
-        before anything counts as durable (pre-ADR persistency domain)."""
-        return self.scheme.uses_pcommit
 
     def enabled(self, code: str) -> bool:
         return code in self.rules
