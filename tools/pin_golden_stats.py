@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Re-pin the golden ``Stats``, report, trace, figure-report and sweep digests.
+"""Re-pin the golden ``Stats``, report, trace, figure-report, sweep and
+workload digests.
 
 Runs the matrix defined in ``tests/test_golden_stats.py`` under the
 reference engine and rewrites ``tests/golden/stats_digests.json``,
@@ -9,14 +10,17 @@ renders every lint and verify report listed in
 in ``tests/test_golden_traces.py`` and rewrites
 ``tests/golden/trace_digests.json``, then runs the evaluation that
 ``tests/test_summary.py`` digests and rewrites
-``tests/golden/report_digests.json``, and last renders the lint, verify,
+``tests/golden/report_digests.json``, renders the lint, verify,
 profile and fault sweeps of ``tests/test_golden_sweeps.py`` and rewrites
-``tests/golden/sweep_digests.json``.  Run it only after a deliberate
-change to the timing model, the tracer, a lint rule or the verifier::
+``tests/golden/sweep_digests.json``, and last generates the op traces
+of ``tests/test_golden_workloads.py`` and rewrites
+``tests/golden/workload_digests.json``.  Run it only after a deliberate
+change to the timing model, the tracer, a lint rule, the verifier or a
+workload::
 
     PYTHONPATH=src python tools/pin_golden_stats.py
 
-A refactor or speed-up must leave all five pinned files untouched.
+A refactor or speed-up must leave all six pinned files untouched.
 """
 
 import json
@@ -31,6 +35,7 @@ from tests import (  # noqa: E402
     test_golden_stats,
     test_golden_sweeps,
     test_golden_traces,
+    test_golden_workloads,
     test_summary,
 )
 
@@ -75,6 +80,13 @@ def main() -> int:
         "(verify wall time zeroed); regenerate with "
         "tools/pin_golden_stats.py",
         test_golden_sweeps.compute_digests(),
+    )
+    _write(
+        test_golden_workloads.GOLDEN_PATH,
+        "SHA-256 of each cell's generated op traces: every item with all "
+        "its fields, the initial image in insertion order and the warm "
+        "lines; regenerate with tools/pin_golden_stats.py",
+        test_golden_workloads.compute_digests(),
     )
     return 0
 
