@@ -12,12 +12,10 @@ models.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from repro.isa.ops import TxRecord
-from repro.workloads.base import Workload
+from repro.workloads.base import NODE_SIZE, KeyedWorkload
 
-NODE_SIZE = 64
 KEY_OFF = 0
 LEFT_OFF = 8
 RIGHT_OFF = 16
@@ -45,46 +43,26 @@ def _balance(node: Optional[_Node]) -> int:
     return _height(node.left) - _height(node.right) if node else 0
 
 
-class AvlTreeWorkload(Workload):
+class AvlTreeWorkload(KeyedWorkload):
     """16 AVL trees, randomized insert/delete of random keys."""
 
     name = "AT"
     default_init_ops = 100000
     default_sim_ops = 150
     think_instructions = 2500
-    NUM_TREES = 16
-    KEY_SPACE = 1 << 20
 
-    def setup(self) -> None:
-        self.roots: List[Optional[_Node]] = [None] * self.NUM_TREES
-        self.keys: List[List[int]] = [[] for _ in range(self.NUM_TREES)]
-        self._key_sets: List[Set[int]] = [set() for _ in range(self.NUM_TREES)]
-        self._recording_enabled = False
-        self._visited: Set[int] = set()
-        self._candidate_extra: Set[int] = set()
-        for _ in range(self.init_ops):
-            tree = self.rng.randrange(self.NUM_TREES)
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key in self._key_sets[tree]:
-                continue
-            self.roots[tree] = self._insert(self.roots[tree], key)
-            self._register_key(tree, key)
-        # Flush initial structure into the golden image.
+    def build(self) -> None:
+        self.roots: List[Optional[_Node]] = [None] * self.STRUCTURES
+
+    def insert(self, index: int, key: int) -> None:
+        self.roots[index] = self._insert(self.roots[index], key)
+
+    def delete(self, index: int, key: int) -> None:
+        self.roots[index] = self._delete(self.roots[index], key)
+
+    def sync(self) -> None:
         for root in self.roots:
             self._sync_subtree(root)
-
-    def _register_key(self, tree: int, key: int) -> None:
-        self._key_sets[tree].add(key)
-        self.keys[tree].append(key)
-
-    def _pick_victim(self, tree: int) -> int:
-        """Remove and return a random existing key (deletes must hit)."""
-        index = self.rng.randrange(len(self.keys[tree]))
-        key = self.keys[tree][index]
-        self.keys[tree][index] = self.keys[tree][-1]
-        self.keys[tree].pop()
-        self._key_sets[tree].remove(key)
-        return key
 
     def _sync_subtree(self, node: Optional[_Node]) -> None:
         if node is None:
@@ -110,7 +88,7 @@ class AvlTreeWorkload(Workload):
         transaction start (the paper's motivation for hardware logging
         on self-balancing trees).
         """
-        if not self._recording_enabled:
+        if self._recording is None:
             return
         self._visited.add(node.addr)
         if node.left is not None:
@@ -122,7 +100,7 @@ class AvlTreeWorkload(Workload):
 
     def _touch(self, node: _Node) -> None:
         """Record rewriting a node's link/height fields."""
-        if not self._recording_enabled:
+        if self._recording is None:
             self._poke_node(node)
             return
         self._visited.add(node.addr)
@@ -131,7 +109,7 @@ class AvlTreeWorkload(Workload):
         self.rec_write(node.addr + HEIGHT_OFF, node.height)
 
     def _emit_new_node(self, node: _Node) -> None:
-        if not self._recording_enabled:
+        if self._recording is None:
             self._poke_node(node)
             return
         self._visited.add(node.addr)
@@ -218,33 +196,11 @@ class AvlTreeWorkload(Workload):
                 return child
             successor = self._min_node(node.right)
             node.key = successor.key
-            if self._recording_enabled:
+            if self._recording is not None:
                 self._visited.add(node.addr)
                 self.rec_write(node.addr + KEY_OFF, node.key)
             node.right = self._delete(node.right, successor.key)
         return self._rebalance(node)
-
-    # -- simulated operations --------------------------------------------------------------
-
-    def run_op(self) -> TxRecord:
-        tree = self.rng.randrange(self.NUM_TREES)
-        do_delete = self.rng.random() < 0.5 and self.keys[tree]
-        self.begin_tx()
-        self._recording_enabled = True
-        self._visited = set()
-        self._candidate_extra = set()
-        if do_delete:
-            key = self._pick_victim(tree)
-            self.roots[tree] = self._delete(self.roots[tree], key)
-        else:
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key not in self._key_sets[tree]:
-                self.roots[tree] = self._insert(self.roots[tree], key)
-                self._register_key(tree, key)
-        self._recording_enabled = False
-        for addr in sorted(self._visited | self._candidate_extra):
-            self.log_candidate(addr, NODE_SIZE)
-        return self.end_tx()
 
     # -- validation -----------------------------------------------------------------------------
 

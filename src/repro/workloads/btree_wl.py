@@ -15,12 +15,10 @@ the paper requires for self-balancing trees).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from repro.isa.ops import TxRecord
-from repro.workloads.base import Workload
+from repro.workloads.base import NODE_SIZE, KeyedWorkload
 
-NODE_SIZE = 64
 COUNT_OFF = 0
 KEY_OFF = 8
 CHILD_OFF = 32
@@ -44,45 +42,20 @@ class _Node:
         return not self.children
 
 
-class BTreeWorkload(Workload):
+class BTreeWorkload(KeyedWorkload):
     """16 B-trees (2-3-4), randomized insert/delete."""
 
     name = "BT"
     default_init_ops = 100000
     default_sim_ops = 150
     think_instructions = 1005
-    NUM_TREES = 16
-    KEY_SPACE = 1 << 20
 
-    def setup(self) -> None:
-        self._recording_enabled = False
-        self._visited: Set[int] = set()
-        self._candidate_extra: Set[int] = set()
-        self.roots: List[Optional[_Node]] = [None] * self.NUM_TREES
-        self.keys: List[List[int]] = [[] for _ in range(self.NUM_TREES)]
-        self._key_sets: List[Set[int]] = [set() for _ in range(self.NUM_TREES)]
-        for _ in range(self.init_ops):
-            tree = self.rng.randrange(self.NUM_TREES)
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key in self._key_sets[tree]:
-                continue
-            self._insert_key(tree, key)
-            self._register_key(tree, key)
+    def build(self) -> None:
+        self.roots: List[Optional[_Node]] = [None] * self.STRUCTURES
+
+    def sync(self) -> None:
         for root in self.roots:
             self._sync_subtree(root)
-
-    def _register_key(self, tree: int, key: int) -> None:
-        self._key_sets[tree].add(key)
-        self.keys[tree].append(key)
-
-    def _pick_victim(self, tree: int) -> int:
-        """Remove and return a random existing key (deletes must hit)."""
-        index = self.rng.randrange(len(self.keys[tree]))
-        key = self.keys[tree][index]
-        self.keys[tree][index] = self.keys[tree][-1]
-        self.keys[tree].pop()
-        self._key_sets[tree].remove(key)
-        return key
 
     def _sync_subtree(self, node: Optional[_Node]) -> None:
         if node is None:
@@ -111,7 +84,7 @@ class BTreeWorkload(Workload):
         (this is why the paper's B-tree shows the largest software
         logging overhead).
         """
-        if not self._recording_enabled:
+        if self._recording is None:
             return
         self._visited.add(node.addr)
         for child in node.children:
@@ -121,7 +94,7 @@ class BTreeWorkload(Workload):
 
     def _touch(self, node: _Node) -> None:
         """Record rewriting a whole node (keys shift on insert/delete)."""
-        if not self._recording_enabled:
+        if self._recording is None:
             self._poke_node(node)
             return
         self._visited.add(node.addr)
@@ -133,26 +106,26 @@ class BTreeWorkload(Workload):
 
     def _new_node(self) -> _Node:
         node = _Node(self.heap.alloc(NODE_SIZE))
-        if self._recording_enabled:
+        if self._recording is not None:
             self._visited.add(node.addr)
         return node
 
     # -- insertion -------------------------------------------------------------------------
 
-    def _insert_key(self, tree: int, key: int) -> None:
-        root = self.roots[tree]
+    def insert(self, index: int, key: int) -> None:
+        root = self.roots[index]
         if root is None:
             root = self._new_node()
             root.keys.append(key)
             self._touch(root)
-            self.roots[tree] = root
+            self.roots[index] = root
             return
         self._visit(root, chained=False)
         if len(root.keys) == MAX_KEYS:
             new_root = self._new_node()
             new_root.children.append(root)
             self._split_child(new_root, 0)
-            self.roots[tree] = new_root
+            self.roots[index] = new_root
             root = new_root
         self._insert_nonfull(root, key)
 
@@ -194,17 +167,17 @@ class BTreeWorkload(Workload):
 
     # -- deletion --------------------------------------------------------------------------
 
-    def _delete_key(self, tree: int, key: int) -> None:
-        root = self.roots[tree]
+    def delete(self, index: int, key: int) -> None:
+        root = self.roots[index]
         if root is None:
             return
         self._visit(root, chained=False)
         self._delete_from(root, key)
         if not root.keys:
             if root.leaf:
-                self.roots[tree] = None
+                self.roots[index] = None
             else:
-                self.roots[tree] = root.children[0]
+                self.roots[index] = root.children[0]
             self.heap.free(root.addr, NODE_SIZE)
 
     def _delete_from(self, node: _Node, key: int) -> None:
@@ -295,28 +268,6 @@ class BTreeWorkload(Workload):
         self.heap.free(right.addr, NODE_SIZE)
         self._touch(left)
         self._touch(node)
-
-    # -- simulated operations ----------------------------------------------------------------
-
-    def run_op(self) -> TxRecord:
-        tree = self.rng.randrange(self.NUM_TREES)
-        do_delete = self.rng.random() < 0.5 and self.keys[tree]
-        self.begin_tx()
-        self._recording_enabled = True
-        self._visited = set()
-        self._candidate_extra = set()
-        if do_delete:
-            key = self._pick_victim(tree)
-            self._delete_key(tree, key)
-        else:
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key not in self._key_sets[tree]:
-                self._insert_key(tree, key)
-                self._register_key(tree, key)
-        self._recording_enabled = False
-        for addr in sorted(self._visited | self._candidate_extra):
-            self.log_candidate(addr, NODE_SIZE)
-        return self.end_tx()
 
     # -- validation -------------------------------------------------------------------------------
 

@@ -8,12 +8,10 @@ transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.isa.ops import TxRecord
-from repro.workloads.base import Workload
+from repro.workloads.base import NODE_SIZE, KeyedWorkload
 
-NODE_SIZE = 64
 KEY_OFF = 0
 VALUE_OFF = 8
 NEXT_OFF = 16
@@ -36,88 +34,29 @@ class _HashMap:
         return self.buckets_base + index * BUCKET_BYTES
 
 
-class HashMapWorkload(Workload):
+class HashMapWorkload(KeyedWorkload):
     """16 hash maps, randomized insert/delete of random keys."""
 
     name = "HM"
     default_init_ops = 100000
     default_sim_ops = 300
     think_instructions = 1016
-    NUM_MAPS = 16
     BUCKETS_PER_MAP = 4096
-    KEY_SPACE = 1 << 20
 
-    def setup(self) -> None:
-        self.maps = []
-        self.keys: List[List[int]] = []
-        self._key_sets: List[set] = []
-        for _ in range(self.NUM_MAPS):
-            base = self.heap.alloc(self.BUCKETS_PER_MAP * BUCKET_BYTES)
-            self.maps.append(_HashMap(base, self.BUCKETS_PER_MAP))
-            self.keys.append([])
-            self._key_sets.append(set())
-        for _ in range(self.init_ops):
-            self._initial_insert()
-
-    def _register_key(self, index: int, key: int) -> None:
-        self._key_sets[index].add(key)
-        self.keys[index].append(key)
-
-    def _pick_victim(self, index: int) -> int:
-        """Remove and return a random existing key (deletes must hit)."""
-        position = self.rng.randrange(len(self.keys[index]))
-        key = self.keys[index][position]
-        self.keys[index][position] = self.keys[index][-1]
-        self.keys[index].pop()
-        self._key_sets[index].remove(key)
-        return key
+    def build(self) -> None:
+        self.maps = [
+            _HashMap(self.heap.alloc(self.BUCKETS_PER_MAP * BUCKET_BYTES), self.BUCKETS_PER_MAP)
+            for _ in range(self.STRUCTURES)
+        ]
 
     def _hash(self, key: int) -> int:
         return (key * 2654435761) & (self.BUCKETS_PER_MAP - 1)
 
-    def _initial_insert(self) -> None:
-        index = self.rng.randrange(self.NUM_MAPS)
+    def _bucket(self, index: int, key: int) -> Tuple[_HashMap, int, List]:
+        """The map, the bucket index and the chain ``key`` hashes to."""
         hmap = self.maps[index]
-        key = self.rng.randrange(self.KEY_SPACE)
-        if key in self._key_sets[index]:
-            return
         bucket = self._hash(key)
-        chain = hmap.chains.setdefault(bucket, [])
-        self._register_key(index, key)
-        node = self.heap.alloc(NODE_SIZE)
-        self.poke(node + KEY_OFF, key)
-        self.poke(node + VALUE_OFF, self.rng.getrandbits(32))
-        self.poke(node + NEXT_OFF, chain[0][1] if chain else 0)
-        self.poke(hmap.bucket_addr(bucket), node)
-        chain.insert(0, (key, node))
-
-    # -- simulated operations -------------------------------------------------------
-
-    def run_op(self) -> TxRecord:
-        index = self.rng.randrange(self.NUM_MAPS)
-        hmap = self.maps[index]
-        do_delete = self.rng.random() < 0.5 and self.keys[index]
-        self.begin_tx()
-        if do_delete:
-            key = self._pick_victim(index)
-            bucket = self._hash(key)
-            chain = hmap.chains.setdefault(bucket, [])
-            position = next(
-                i for i, (entry_key, _) in enumerate(chain) if entry_key == key
-            )
-            self._delete(hmap, bucket, chain, position)
-        else:
-            key = self.rng.randrange(self.KEY_SPACE)
-            bucket = self._hash(key)
-            chain = hmap.chains.setdefault(bucket, [])
-            position = next(
-                (i for i, (entry_key, _) in enumerate(chain) if entry_key == key),
-                None,
-            )
-            if position is None:
-                self._register_key(index, key)
-            self._insert(hmap, bucket, chain, key, position)
-        return self.end_tx()
+        return hmap, bucket, hmap.chains.setdefault(bucket, [])
 
     def _walk_chain(self, hmap: _HashMap, bucket: int, chain: List, upto: int) -> None:
         """Record the bucket read plus dependent chain loads."""
@@ -127,30 +66,42 @@ class HashMapWorkload(Workload):
             self.rec_read(node + KEY_OFF, chained=True)
             self.rec_compute(1)  # key compare
 
-    def _insert(self, hmap: _HashMap, bucket: int, chain: List, key: int, position) -> None:
-        self._walk_chain(hmap, bucket, chain, len(chain))
-        if position is not None:
-            # Key exists: update the value in place.
-            node = chain[position][1]
-            self.log_candidate(node, NODE_SIZE)
-            self.rec_write(node + VALUE_OFF, self.rng.getrandbits(32))
-            return
-        node = self.heap.alloc(NODE_SIZE)
+    def insert(self, index: int, key: int) -> None:
+        hmap, bucket, chain = self._bucket(index, key)
         old_head = chain[0][1] if chain else 0
-        self.log_candidate(node, NODE_SIZE)
-        self.log_candidate(hmap.bucket_addr(bucket), BUCKET_BYTES)
-        # Initialize the whole 64 B node (allocator + constructor writes).
-        self.rec_write(node + KEY_OFF, key)
-        self.rec_write(node + VALUE_OFF, self.rng.getrandbits(32))
-        self.rec_write(node + NEXT_OFF, old_head)
-        for offset in range(NEXT_OFF + 8, NODE_SIZE, 8):
-            self.rec_write(node + offset, 0)
-        self.rec_write(hmap.bucket_addr(bucket), node)
+        if self._recording is None:
+            node = self.heap.alloc(NODE_SIZE)
+            self.poke(node + KEY_OFF, key)
+            self.poke(node + VALUE_OFF, self.rng.getrandbits(32))
+            self.poke(node + NEXT_OFF, old_head)
+            self.poke(hmap.bucket_addr(bucket), node)
+        else:
+            self._walk_chain(hmap, bucket, chain, len(chain))
+            node = self.heap.alloc(NODE_SIZE)
+            self.log_candidate(node, NODE_SIZE)
+            self.log_candidate(hmap.bucket_addr(bucket), BUCKET_BYTES)
+            # Initialize the whole 64 B node (allocator + constructor writes).
+            self.rec_write(node + KEY_OFF, key)
+            self.rec_write(node + VALUE_OFF, self.rng.getrandbits(32))
+            self.rec_write(node + NEXT_OFF, old_head)
+            for offset in range(NEXT_OFF + 8, NODE_SIZE, 8):
+                self.rec_write(node + offset, 0)
+            self.rec_write(hmap.bucket_addr(bucket), node)
         chain.insert(0, (key, node))
 
-    def _delete(self, hmap: _HashMap, bucket: int, chain: List, position: int) -> None:
+    def update(self, index: int, key: int) -> None:
+        """Overwrite the value of a present key in place."""
+        hmap, bucket, chain = self._bucket(index, key)
+        self._walk_chain(hmap, bucket, chain, len(chain))
+        node = next(node for entry_key, node in chain if entry_key == key)
+        self.log_candidate(node, NODE_SIZE)
+        self.rec_write(node + VALUE_OFF, self.rng.getrandbits(32))
+
+    def delete(self, index: int, key: int) -> None:
+        hmap, bucket, chain = self._bucket(index, key)
+        position = next(i for i, (entry_key, _) in enumerate(chain) if entry_key == key)
         self._walk_chain(hmap, bucket, chain, position + 1)
-        key, node = chain[position]
+        node = chain[position][1]
         successor = chain[position + 1][1] if position + 1 < len(chain) else 0
         if position == 0:
             self.log_candidate(hmap.bucket_addr(bucket), BUCKET_BYTES)

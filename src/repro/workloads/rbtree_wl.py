@@ -12,12 +12,8 @@ fixups may temporarily recolor it, as in the textbook algorithm).
 
 from __future__ import annotations
 
-from typing import List, Set
+from repro.workloads.base import NODE_SIZE, KeyedWorkload
 
-from repro.isa.ops import TxRecord
-from repro.workloads.base import Workload
-
-NODE_SIZE = 64
 KEY_OFF = 0
 LEFT_OFF = 8
 RIGHT_OFF = 16
@@ -54,48 +50,29 @@ class _Tree:
         self.size = 0
 
 
-class RbTreeWorkload(Workload):
+class RbTreeWorkload(KeyedWorkload):
     """16 red-black trees, randomized insert/delete."""
 
     name = "RT"
     default_init_ops = 100000
     default_sim_ops = 150
     think_instructions = 2079
-    NUM_TREES = 16
-    KEY_SPACE = 1 << 20
 
-    def setup(self) -> None:
-        self._recording_enabled = False
-        self._visited: Set[int] = set()
-        self._candidate_extra: Set[int] = set()
+    def build(self) -> None:
         self.trees = [
-            _Tree(self.heap.alloc(NODE_SIZE)) for _ in range(self.NUM_TREES)
+            _Tree(self.heap.alloc(NODE_SIZE)) for _ in range(self.STRUCTURES)
         ]
-        self.keys: List[List[int]] = [[] for _ in range(self.NUM_TREES)]
-        self._key_sets: List[Set[int]] = [set() for _ in range(self.NUM_TREES)]
-        for _ in range(self.init_ops):
-            index = self.rng.randrange(self.NUM_TREES)
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key in self._key_sets[index]:
-                continue
-            self._insert(self.trees[index], key)
-            self._register_key(index, key)
+
+    def insert(self, index: int, key: int) -> None:
+        self._insert(self.trees[index], key)
+
+    def delete(self, index: int, key: int) -> None:
+        self._delete(self.trees[index], key)
+
+    def sync(self) -> None:
         for tree in self.trees:
             self._poke_node(tree, tree.nil)
             self._sync_subtree(tree, tree.root)
-
-    def _register_key(self, index: int, key: int) -> None:
-        self._key_sets[index].add(key)
-        self.keys[index].append(key)
-
-    def _pick_victim(self, index: int) -> int:
-        """Remove and return a random existing key (deletes must hit)."""
-        position = self.rng.randrange(len(self.keys[index]))
-        key = self.keys[index][position]
-        self.keys[index][position] = self.keys[index][-1]
-        self.keys[index].pop()
-        self._key_sets[index].remove(key)
-        return key
 
     def _sync_subtree(self, tree: _Tree, node: _Node) -> None:
         if node is tree.nil:
@@ -120,7 +97,7 @@ class RbTreeWorkload(Workload):
         fixup rotations rewrite sibling subtree roots that a logger
         cannot predict at transaction start.
         """
-        if not self._recording_enabled or node is tree.nil:
+        if self._recording is None or node is tree.nil:
             return
         self._visited.add(node.addr)
         if node.left is not tree.nil:
@@ -132,7 +109,7 @@ class RbTreeWorkload(Workload):
 
     def _touch(self, tree: _Tree, node: _Node) -> None:
         """Record rewriting a node's pointer/color fields."""
-        if not self._recording_enabled:
+        if self._recording is None:
             self._poke_node(tree, node)
             return
         self._visited.add(node.addr)
@@ -142,7 +119,7 @@ class RbTreeWorkload(Workload):
         self.rec_write(node.addr + COLOR_OFF, node.color)
 
     def _emit_new_node(self, tree: _Tree, node: _Node) -> None:
-        if not self._recording_enabled:
+        if self._recording is None:
             self._poke_node(tree, node)
             return
         self._visited.add(node.addr)
@@ -402,29 +379,6 @@ class RbTreeWorkload(Workload):
         if x.color != BLACK:
             x.color = BLACK
             self._touch(tree, x)
-
-    # -- simulated operations -----------------------------------------------------------------
-
-    def run_op(self) -> TxRecord:
-        index = self.rng.randrange(self.NUM_TREES)
-        tree = self.trees[index]
-        do_delete = self.rng.random() < 0.5 and self.keys[index]
-        self.begin_tx()
-        self._recording_enabled = True
-        self._visited = set()
-        self._candidate_extra = set()
-        if do_delete:
-            key = self._pick_victim(index)
-            self._delete(tree, key)
-        else:
-            key = self.rng.randrange(self.KEY_SPACE)
-            if key not in self._key_sets[index]:
-                self._insert(tree, key)
-                self._register_key(index, key)
-        self._recording_enabled = False
-        for addr in sorted(self._visited | self._candidate_extra):
-            self.log_candidate(addr, NODE_SIZE)
-        return self.end_tx()
 
     # -- validation -------------------------------------------------------------------------------
 
