@@ -11,15 +11,16 @@ One :meth:`OooCore.tick` models one cycle: retire → start executions →
 drain the store buffer → dispatch.  The method returns True when the
 core made any progress, which lets the simulator fast-forward the clock
 to the next memory event when every core is stalled.  Two stalls only
-count until an event ends them, so the tick does just that: a ROB full
-behind an executing head, with nothing left to drain, counts a
-``stall.rob`` until the next completion (``waiting_on_head``); a
-completed fence held at the head by the store backlog counts a
+count until an event ends them.  A ROB full behind an executing head,
+with nothing left to drain, counts a ``stall.rob`` until the next
+completion, so while ``waiting_on_head`` is set the tick counts just
+that.  A completed fence held at the head by the store backlog counts a
 ``retire_blocked.fence`` (and a ``stall.rob`` while the trace has
 instructions left) until a store or flush is acknowledged or a pcommit
-drains (``waiting_on_fence``).  Only a traced run ticks a core through
-that wait: an untraced loop holds the core out of its tick list and
-charges the ticks in bulk (:meth:`OooCore.charge_fence_wait`).
+drains (``waiting_on_fence``).  An untraced loop holds such a core out
+of its tick list and charges the ticks in bulk
+(:meth:`OooCore.charge_fence_wait`); a traced run ticks it in full,
+since its tracer needs each tick's ``stall`` instants.
 
 Most of a lowered stream is think-chain links: latency-2 ALU
 instructions, each ``dep=1`` on the one before, sharing one record.
@@ -242,16 +243,6 @@ class OooCore:
             # Nothing retires, drains or dispatches before the head
             # completes, and every completion clears the flag.
             self.frontend.record_stall("rob")
-            return False
-        if self.waiting_on_fence:
-            # Nothing retires past the fence, so nothing drains or frees
-            # a ROB slot, until an acknowledgment clears the flag.  Only
-            # a traced run ticks a core here; an untraced loop holds it
-            # out and charges these ticks in bulk (charge_fence_wait).
-            self._count_fence_block(self.rob[0])
-            frontend = self.frontend
-            if not frontend.exhausted():
-                frontend.record_stall("rob")
             return False
         self._progress = False
         fence_held = self._retire()

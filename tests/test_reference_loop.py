@@ -2,9 +2,10 @@
 
 ``Simulator.run`` checks and ticks only the cores that have not
 finished, ``OooCore`` decides dependence readiness from ``dyn_by_seq``
-and its link runs alone, and a core waiting on its ROB head, or on a
-fence its store backlog holds, only counts the stalls.  These
-shortcuts are exact only under the invariants pinned here.  The loop
+and its link runs alone, a core waiting on its ROB head only counts
+the stall, and the loop holds a core waiting on a fence its store
+backlog holds and charges it only the stalls.  These shortcuts are
+exact only under the invariants pinned here.  The loop
 also skips idle cycles by jumping to the next event, yet a halt or a
 cycle-triggered crash must still land on its exact cycle; the last
 tests pin that.
@@ -181,13 +182,15 @@ def test_waiting_on_the_rob_head_only_counts_the_stall(monkeypatch, scheme):
 
 
 def probe_fence_ticks(monkeypatch, machine):
-    """Run the full tick in place of every fence-waiting core's shortcut.
+    """Check every tick of a fence-waiting core against the hold's charge.
 
-    The full tick must return False, add exactly one
-    ``retire_blocked.fence``, plus one ``stall.rob`` unless the trace is
-    exhausted, touch no other counter, pending event or the clock, and
-    leave the core waiting again.  Returns the list of probed core ids,
-    which grows as the run goes on.
+    An untraced loop holds such a core and charges each tick it sits
+    out as one ``retire_blocked.fence``, plus one ``stall.rob`` unless
+    the trace is exhausted (``OooCore.charge_fence_wait``).  So the full
+    tick, run with the flag cleared, must return False, add exactly
+    those counters, touch no other counter, pending event or the clock,
+    and leave the core waiting again.  Returns the list of probed core
+    ids, which grows as the run goes on.
     """
     original_tick = OooCore.tick
     probes = []
