@@ -27,14 +27,12 @@ from repro.snapshot.format import (
     SnapshotError,
     SnapshotFormatError,
     SnapshotStateError,
-    load_snapshot,
     payload_to_snapshot,
-    save_snapshot,
     snapshot_bytes,
     snapshot_digest,
     snapshot_to_payload,
 )
-from repro.snapshot.resume import resume_run, resume_simulator, resume_traces
+from repro.snapshot.resume import resume_run
 from repro.snapshot.state import capture_machine, restore_machine
 
 __all__ = [
@@ -49,14 +47,10 @@ __all__ = [
     "checkpoint_key",
     "checkpoint_to_payload",
     "create_checkpoint",
-    "load_snapshot",
     "payload_to_checkpoint",
     "payload_to_snapshot",
     "restore_machine",
     "resume_run",
-    "resume_simulator",
-    "resume_traces",
-    "save_snapshot",
     "snapshot_bytes",
     "snapshot_digest",
     "snapshot_to_payload",

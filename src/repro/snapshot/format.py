@@ -28,10 +28,8 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping
 
 from repro.parallel.cellspec import canonical_json
 
@@ -143,21 +141,3 @@ def snapshot_bytes(snapshot: MachineSnapshot) -> bytes:
 def snapshot_digest(snapshot: MachineSnapshot) -> str:
     """Content hash of the serialized snapshot."""
     return hashlib.sha256(snapshot_bytes(snapshot)).hexdigest()
-
-
-def save_snapshot(path: Union[str, Path], snapshot: MachineSnapshot) -> None:
-    """Write a snapshot to disk in its canonical form."""
-    Path(path).write_text(canonical_json(snapshot_to_payload(snapshot)))
-
-
-def load_snapshot(path: Union[str, Path]) -> MachineSnapshot:
-    """Read a snapshot; raises :class:`SnapshotFormatError` on damage."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise SnapshotFormatError(f"cannot read snapshot: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SnapshotFormatError(f"snapshot is not valid JSON: {exc}") from exc
-    return payload_to_snapshot(payload)

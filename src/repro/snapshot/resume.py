@@ -13,29 +13,19 @@ silently wrong simulation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 from repro.isa.trace import OpTrace
-from repro.obs.tracer import Tracer
-from repro.sim.simulator import Simulator, SimResult
+from repro.sim.simulator import SimResult
 from repro.snapshot.checkpoint import Checkpoint, workloads_for
 from repro.snapshot.format import SnapshotFormatError
 from repro.snapshot.state import restore_machine
 
-if TYPE_CHECKING:  # runtime import would cycle: faults.harness uses us
-    from repro.faults.harness import FaultInjector
 
-
-def resume_traces(
-    checkpoint: Checkpoint, count: Optional[int] = None
-) -> List[OpTrace]:
-    """Regenerate the continuation op traces at the checkpoint offset.
-
-    ``count`` limits the segment length (default: everything left in
-    the cell's measured stream).
-    """
-    remaining = checkpoint.remaining_ops if count is None else count
-    if remaining < 0 or checkpoint.op_offset + remaining > checkpoint.cell.sim_ops:
+def _resume_traces(checkpoint: Checkpoint) -> List[OpTrace]:
+    """Regenerate the rest of the cell's op traces at the checkpoint offset."""
+    remaining = checkpoint.remaining_ops
+    if remaining < 0:
         raise ValueError(
             f"cannot resume {remaining} op(s) at offset {checkpoint.op_offset} "
             f"of a {checkpoint.cell.sim_ops}-op cell"
@@ -54,27 +44,7 @@ def resume_traces(
     return traces
 
 
-def resume_simulator(
-    checkpoint: Checkpoint,
-    count: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    fault_injector: Optional["FaultInjector"] = None,
-) -> Simulator:
-    """Restore the checkpointed machine, loaded with continuation traces."""
-    traces = resume_traces(checkpoint, count)
-    return restore_machine(
-        checkpoint.machine,
-        traces,
-        tracer=tracer,
-        fault_injector=fault_injector,
-    )
-
-
-def resume_run(
-    checkpoint: Checkpoint,
-    count: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-) -> SimResult:
-    """Restore and run the continuation to completion."""
-    sim = resume_simulator(checkpoint, count=count, tracer=tracer)
+def resume_run(checkpoint: Checkpoint) -> SimResult:
+    """Restore the checkpointed machine and run the rest of the cell."""
+    sim = restore_machine(checkpoint.machine, _resume_traces(checkpoint))
     return sim.run(max_cycles=checkpoint.cell.max_cycles)

@@ -83,6 +83,25 @@ def test_snapshot_restore_two_threads_byte_identical():
     assert result_bytes(resumed) == result_bytes(reference)
 
 
+def test_resume_refuses_a_foreign_offset_or_cursor():
+    """A ``--in`` file comes from outside the program: an offset beyond
+    the cell's measured stream, or a workload cursor the regenerated
+    stream does not reach, stops the resume instead of simulating a
+    wrong continuation."""
+    cell = tiny_cell(Scheme.PMEM)
+    payload = checkpoint_to_payload(create_checkpoint(cell, SPLIT))
+
+    beyond = json.loads(json.dumps(payload))
+    beyond["op_offset"] = cell.sim_ops + 1
+    with pytest.raises(ValueError, match="cannot resume -1 op"):
+        resume_run(payload_to_checkpoint(beyond))
+
+    drifted = json.loads(json.dumps(payload))
+    drifted["machine"]["workload_cursors"]["0"]["next_txid"] += 1
+    with pytest.raises(SnapshotFormatError, match="workload cursor drifted"):
+        resume_run(payload_to_checkpoint(drifted))
+
+
 def test_capture_requires_quiescence(small_config):
     from repro.mem.wpq import QueueEntry
 
