@@ -5,7 +5,10 @@ Every experiment runs its cells through the sweep runner in
 :mod:`repro.parallel` — in-process memoization means figures sharing a
 sweep (6, 7, 8) pay for it once, and an attached on-disk result cache
 plus worker-process fan-out speed up repeated and large sweeps (see
-``docs/architecture.md``).
+``docs/architecture.md``).  The lint, verify and profile sweeps live in
+their own modules (``lintsweep``, ``verifysweep``, ``profiling``), which
+the package does not import, so loading a figure driver loads none of
+them.
 """
 
 from repro.analysis.experiments import (
@@ -22,24 +25,11 @@ from repro.analysis.experiments import (
     table3_large_transactions,
     table4_llt_miss_rate,
 )
-from repro.analysis.lintsweep import LintSweepResult, lint_sweep
-from repro.analysis.profiling import (
-    ProfileCell,
-    ProfileSweepResult,
-    profile_one,
-    profile_sweep,
-)
 from repro.analysis.report import format_table
 
 __all__ = [
     "BENCH_SPECS",
     "EvaluationResult",
-    "LintSweepResult",
-    "ProfileCell",
-    "ProfileSweepResult",
-    "lint_sweep",
-    "profile_one",
-    "profile_sweep",
     "fig10_dram",
     "fig11_logq_sweep",
     "fig12_lpq_sweep",

@@ -34,12 +34,6 @@ from repro.parallel.cellspec import (
     result_bytes,
     result_to_payload,
 )
-from repro.parallel.chaos import (
-    ChaosCampaignResult,
-    ChaosRoundResult,
-    ChaosSettings,
-    run_chaos_campaign,
-)
 from repro.parallel.journal import (
     JOURNAL_SCHEMA_VERSION,
     JournalEntry,
@@ -73,9 +67,6 @@ __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "CellOutcome",
     "CellSpec",
-    "ChaosCampaignResult",
-    "ChaosRoundResult",
-    "ChaosSettings",
     "JournalEntry",
     "JournalError",
     "JournalVersionError",
@@ -101,7 +92,6 @@ __all__ = [
     "resilient_map",
     "result_bytes",
     "result_to_payload",
-    "run_chaos_campaign",
     "run_resilient",
     "set_default_runner",
     "traces_for",

@@ -9,7 +9,7 @@ contract the recovery story depends on.
 
 import pytest
 
-from repro.analysis import lint_sweep
+from repro.analysis.lintsweep import lint_sweep
 from repro.core.schemes import Scheme
 from repro.lint import WARNING_CODES, lint_workload
 from repro.workloads import BENCHMARK_ORDER
