@@ -17,7 +17,7 @@ Subcommands:
 * ``trace`` — run one benchmark with the cycle-level tracer attached and
   export a Chrome-trace JSON (Perfetto-loadable) plus a versioned
   summary with per-transaction critical-path attribution.
-* ``profile`` — trace the scheme×workload matrix and print the
+* ``profile`` — run the scheme×workload matrix and print the
   bottleneck-attribution report (where blocked cycles go, per scheme).
 * ``chaos`` — turn the fault injection on the runner itself: seeded
   campaigns that SIGKILL workers mid-cell, hang them past the timeout,
@@ -872,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--seed", type=int, default=7)
     profile_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="trace up to N matrix cells in parallel worker processes",
+        help="run up to N matrix cells in parallel worker processes",
     )
     _add_resilience_args(profile_parser, what="matrix cells")
     profile_parser.set_defaults(func=cmd_profile)

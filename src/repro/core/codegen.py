@@ -188,7 +188,9 @@ class CodeGenerator:
         return out
 
     def lower_transaction(self, tx: TxRecord, out: InstructionTrace) -> None:
-        """Append one transaction's lowered instructions to ``out``."""
+        """Append one transaction's lowered instructions to ``out``, and
+        its bounds to ``out.transactions``."""
+        start = len(out.instructions)
         if self.scheme in (Scheme.PMEM, Scheme.PMEM_PCOMMIT):
             self._lower_software(tx, out)
         elif self.scheme is Scheme.PMEM_NOLOG:
@@ -199,6 +201,12 @@ class CodeGenerator:
             self._lower_hardware(tx, out, with_log_pairs=False)
         else:  # Proteus / Proteus+NoLWR
             self._lower_hardware(tx, out, with_log_pairs=True)
+        # Only a few untagged instructions lie outside the bounds.
+        ins, txid = out.instructions, tx.txid
+        first = next((i for i in range(start, len(ins)) if ins[i].txid == txid), None)
+        if txid > 0 and first is not None:
+            last = next(i for i in range(len(ins) - 1, first - 1, -1) if ins[i].txid == txid)
+            out.transactions.append((first, last))
 
     # -- body lowering shared by every scheme ---------------------------------------
 

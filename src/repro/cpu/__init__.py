@@ -7,13 +7,11 @@ the software schemes) is plugged in through the
 """
 
 from repro.cpu.adapter import LoggingAdapter, NullAdapter
-from repro.cpu.frontend import Frontend
 from repro.cpu.ooo_core import DynInstr, OooCore
 from repro.cpu.store_buffer import StoreBuffer
 
 __all__ = [
     "DynInstr",
-    "Frontend",
     "LoggingAdapter",
     "NullAdapter",
     "OooCore",

@@ -435,7 +435,7 @@ class Simulator:
         parts = []
         for core in self.cores:
             parts.append(
-                f"core{core.core_id}: pc={core.frontend.pc}/{len(core.frontend.trace)} "
+                f"core{core.core_id}: pc={core.pc}/{len(core.trace)} "
                 f"rob={core.rob_used} sb={core.store_buffer.occupancy()}"
                 f"+{core.store_buffer.in_flight()}inflight pmem={core.pending_pmem}"
             )

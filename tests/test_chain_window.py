@@ -72,7 +72,7 @@ def machine_state(sim):
     engine = sim.engine
     cores = [
         (
-            core.frontend.pc,
+            core.pc,
             core.expanded_rob(),
             core.waiting_on_head,
             list(core.dyn_by_seq),
@@ -113,7 +113,7 @@ def two_run_shape(core):
         or type(tail) is not LinkRun
         or head.instr.latency != 2
         or tail.instr.latency != 2
-        or tail.instr is not core.frontend.trace.instructions[core.frontend.pc]
+        or tail.instr is not core.trace.instructions[core.pc]
     ):
         return None
     if not tail.running:

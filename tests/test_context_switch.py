@@ -35,14 +35,20 @@ def run_with_log_save(trace):
     config = fast_nvm_config(cores=1)
     sim = Simulator(config, Scheme.PROTEUS, [trace])
     # Inject a log-save after the first transaction's tx-end.
-    instr_trace = sim.cores[0].frontend.trace
+    instr_trace = sim.cores[0].trace
     end_index = next(
         i for i, instr in enumerate(instr_trace)
         if instr.kind is Kind.TX_END and instr.txid == 1
     )
     # Deps are backward distances and no dependence spans a tx-end, so
-    # the insertion leaves every later dep valid.
+    # the insertion leaves every later dep valid; the later transaction's
+    # bounds move with it.
     instr_trace.instructions.insert(end_index + 1, log_save())
+    instr_trace.transactions[1:] = [
+        (first + 1, last + 1) for first, last in instr_trace.transactions[1:]
+    ]
+    assert [(instr_trace[first].kind, instr_trace[last].kind)
+            for first, last in instr_trace.transactions] == [(Kind.TX_BEGIN, Kind.TX_END)] * 2
     result = sim.run()
     return sim, result
 

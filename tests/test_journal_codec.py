@@ -79,7 +79,7 @@ def test_codec_round_trips_every_sweep_result_and_rejects_damage():
     assert any(diag.addr is None for r in lint_results for diag in r.diagnostics)
     cell = ProfileCell(
         scheme=Scheme.PROTEUS, workload="QE", cycles=48_211, transactions=9,
-        events=7_310, blocked={"logging": 120, "memory": 3_407, "fence": 0},
+        blocked={"logging": 120, "memory": 3_407, "fence": 0},
     )
     replayed = ReplayedCase(index=3, outcome="consistent", lines=["  [   3] x"])
 

@@ -46,7 +46,7 @@ HOLDING = (Scheme.PMEM, Scheme.PMEM_PCOMMIT)
 
 def core_state(core):
     return dict(
-        pc=core.frontend.pc,
+        pc=core.pc,
         waiting_on_head=core.waiting_on_head,
         waiting_on_fence=core.waiting_on_fence,
         rob_used=core.rob_used,

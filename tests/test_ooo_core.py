@@ -127,7 +127,7 @@ def test_a_stall_is_counted_per_tick_that_dispatched_nothing():
     while not core.finished():
         assert engine.cycle < 100_000, "core did not finish"
         fired = engine.fire_due_events()
-        exhausted = core.frontend.exhausted()
+        exhausted = core.exhausted()
         dispatched = stats.get("dispatched_instructions")
         stalls = stats.stall_breakdown()
         progressed = core.tick()
@@ -220,3 +220,21 @@ def test_clflushopt_counts_as_pmem_op():
     run_core(engine, core)
     engine.run_until_idle()
     assert stats.nvm_writes() == 1
+
+
+def test_core_stays_within_the_shared_key_budget():
+    """CPython 3.11 shares one class's instance-dict keys only up to 29
+    attributes; at 30 every ``OooCore`` gets its own dict and the tick
+    loop slows by about 5% (docs/architecture.md section 3)."""
+    from repro.core.schemes import Scheme
+    from repro.sim.config import fast_nvm_config
+    from repro.sim.simulator import Simulator
+    from repro.workloads import WORKLOADS
+    from repro.workloads.base import generate_traces
+
+    traces = generate_traces(WORKLOADS["QE"], threads=2, seed=1, init_ops=8, sim_ops=2)
+    for scheme in (Scheme.PMEM, Scheme.PROTEUS):
+        sim = Simulator(fast_nvm_config(cores=2), scheme, traces)
+        assert all(len(vars(core)) <= 29 for core in sim.cores)
+        sim.run()
+        assert all(len(vars(core)) <= 29 for core in sim.cores)

@@ -201,7 +201,7 @@ def probe_fence_ticks(monkeypatch, machine):
         counters, *rest = machine_state(machine)
         expected = dict(counters)
         expected["retire_blocked.fence"] += 1
-        if not core.frontend.exhausted():
+        if not core.exhausted():
             expected["stall.rob"] = expected.get("stall.rob", 0) + 1
         core.waiting_on_fence = False
         assert original_tick(core) is False
