@@ -311,7 +311,12 @@ class _Loop:
                     task.attempts += 1
                     if self.journal is not None:
                         self.journal.mark_running(task.key, task.attempts)
-                    future = pool.submit(self.fn, task.item)
+                    try:
+                        future = pool.submit(self.fn, task.item)
+                    except BrokenProcessPool as error:
+                        # A worker died since the last wait: a broken future.
+                        future = Future()
+                        future.set_exception(error)
                     inflight[future] = task
                     if self.config.cell_timeout is not None:
                         deadlines[future] = (

@@ -15,6 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.parallel.resilience as resilience
 from repro.parallel.journal import SweepJournal
 from repro.parallel.resilience import (
     BACKOFF_JITTER,
@@ -274,3 +275,42 @@ def _count_calls(item):
     with open(item["counter"], "a") as handle:
         handle.write("x")
     return {"value": item["value"]}
+
+
+def _break_first_submit(monkeypatch):
+    """Make the first pool's first ``submit`` raise ``BrokenProcessPool``,
+    as it does when a worker dies between two waits of the loop."""
+    original = resilience._Loop._new_pool
+    pools = []
+
+    def new_pool(loop, workers):
+        pool = original(loop, workers)
+        if not pools:
+            def submit(*args, **kwargs):
+                del pool.submit
+                raise BrokenProcessPool("a worker died before this submit")
+
+            pool.submit = submit
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(resilience._Loop, "_new_pool", new_pool)
+    return pools
+
+
+def test_pool_broken_at_submit_rebuilds_without_charging(monkeypatch):
+    pools = _break_first_submit(monkeypatch)
+    config = ResilienceConfig(max_retries=0, **FAST)
+    outcomes = run_resilient(_ok, _tasks(4), jobs=2, config=config)
+    assert [outcomes[f"t{i}"].value for i in range(4)] == [{"value": i} for i in range(4)]
+    assert all(o.attempts == 1 for o in outcomes.values())
+    report = last_run_report()
+    assert (len(pools), report.pool_rebuilds, report.retried) == (2, 1, 0)
+
+
+def test_fail_fast_pool_broken_at_submit_raises_sweep_error(monkeypatch):
+    _break_first_submit(monkeypatch)
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_resilient(_ok, _tasks(2), jobs=2)
+    assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+    assert excinfo.value.record.key == "t0"
