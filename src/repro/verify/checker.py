@@ -42,6 +42,7 @@ from repro.persistence.stream import StreamState
 from repro.verify.frontier import (
     Frontier,
     count_frontiers,
+    frontier_view,
     iter_exhaustive,
     materialize,
     sample_frontiers,
@@ -219,8 +220,8 @@ def verify_instruction_trace(
         verdict = verdict_of(frontier)
         if not verdict.consistent:
             return ("V001", verdict.error, verdict.k)
-        sealed = state.commits_sealed()
-        executed = state.commits_executed()
+        view = frontier_view(state)
+        sealed, executed = view.sealed, view.executed
         # The recovered image matches every candidate equal to the first
         # one it matched (``verdict.k``), and any of them in range keeps
         # the promise.  The range belongs to the position, so it stays

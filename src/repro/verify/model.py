@@ -50,12 +50,16 @@ def _span_bounds(trace: InstructionTrace, scheme: Scheme) -> List[Tuple[int, int
     """
     spans: List[Tuple[int, int]] = []
     if profile_for(scheme).tx_marks:
+        alu, tx_begin, tx_end = Kind.ALU, Kind.TX_BEGIN, Kind.TX_END
         begin: Optional[int] = None
         for index, instr in enumerate(trace):
-            if instr.kind is Kind.TX_BEGIN:
+            kind = instr.kind
+            if kind is alu:
+                continue
+            if kind is tx_begin:
                 if begin is None:
                     begin = index
-            elif instr.kind is Kind.TX_END and begin is not None:
+            elif kind is tx_end and begin is not None:
                 spans.append((begin, index))
                 begin = None
         if begin is not None:
@@ -89,12 +93,15 @@ def derive_candidates(
     candidates: List[Dict[int, int]] = [dict(initial_image or {})]
     image = dict(initial_image or {})
     last_value_of_load: int = 0
+    alu, load, store = Kind.ALU, Kind.LOAD, Kind.STORE
     for begin, end in _span_bounds(trace, scheme):
-        for index in range(begin, min(end + 1, len(trace))):
-            instr = trace[index]
-            if instr.kind is Kind.LOAD:
+        for instr in trace.instructions[begin:end + 1]:
+            kind = instr.kind
+            if kind is alu:
+                continue
+            if kind is load:
                 last_value_of_load = image.get(instr.addr, 0)
-            if instr.kind is not Kind.STORE:
+            if kind is not store:
                 continue
             if region_of(instr.addr, layout) != REGION_DATA:
                 continue
