@@ -392,7 +392,7 @@ def cmd_verify(args) -> int:
             print(f"{code}  {level:<7s} {title}")
         return 0
     if args.crossval:
-        from repro.verify import cross_validate
+        from repro.verify import check_containment, cross_validate
 
         schemes = (
             verifiable_schemes()
@@ -400,14 +400,18 @@ def cmd_verify(args) -> int:
             else [Scheme.parse(args.scheme)]
         )
         workload = "QE" if args.benchmark == "all" else args.benchmark
+        sizing = dict(init_ops=min(args.init, 40), sim_ops=min(args.ops, 8))
         ok = True
         for scheme in schemes:
             result = cross_validate(
-                scheme, workload, seed=args.seed, budget=args.budget,
-                init_ops=min(args.init, 40), sim_ops=min(args.ops, 8),
+                scheme, workload, seed=args.seed, budget=args.budget, **sizing
             )
             print(result.report(), end="")
-            ok = ok and result.static_superset
+            contained = check_containment(
+                scheme, workload, threads=args.threads, seed=args.seed, **sizing
+            )
+            print(contained.report(), end="")
+            ok = ok and result.static_superset and contained.ok
         return 0 if ok else 1
     sweep = _run_sweep(
         args, verify_sweep, init_ops=args.init, sim_ops=args.ops,
@@ -828,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--crossval", action="store_true",
         help="cross-validate the checker against the dynamic fault "
-             "campaign (static must subsume every analog-able mode)",
+             "campaign (static must subsume every analog-able mode, and "
+             "every campaign crash image must be a verify frontier)",
     )
     verify_parser.add_argument("--verbose", action="store_true",
                                help="print every counterexample in full")

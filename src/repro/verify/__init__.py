@@ -11,7 +11,8 @@ recovery predicate with the dynamic fault campaign
 (:func:`repro.persistence.recovery.check_recovery`), and
 :mod:`repro.verify.crossval` closes the loop by asserting the static
 checker subsumes every campaign-detectable fault mode that has a stream
-analog.
+analog.  :mod:`repro.verify.containment` holds the campaign's crash
+images to the frontiers this package enumerates.
 """
 
 from repro.verify.checker import (
@@ -21,6 +22,11 @@ from repro.verify.checker import (
     verify_instruction_trace,
     verify_op_traces,
     verify_workload,
+)
+from repro.verify.containment import (
+    ContainmentResult,
+    check_containment,
+    containment_error,
 )
 from repro.verify.crossval import (
     ANALOG_MUTATORS,
@@ -51,6 +57,7 @@ from repro.verify.report import (
 __all__ = [
     "ANALOG_MUTATORS",
     "CheckReport",
+    "ContainmentResult",
     "CrossValCase",
     "CrossValResult",
     "Deviation",
@@ -59,6 +66,8 @@ __all__ = [
     "StaticAnalog",
     "VERIFY_RULES",
     "analog_for",
+    "check_containment",
+    "containment_error",
     "count_frontiers",
     "cross_validate",
     "derive_candidates",
