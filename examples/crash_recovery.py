@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Crash a persistent hash map at random points and recover it.
 
-Demonstrates the functional persistence layer: the same workload trace
-is crashed at hundreds of random transaction phases with random
-writeback interleavings, recovered with the scheme's undo log, and
-validated against transaction atomicity — and the same crashes are shown
-to corrupt the store when logging is disabled.
+Demonstrates the persistency model every checker shares: the workload
+is lowered under a logging scheme and replayed instruction by
+instruction through :class:`~repro.persistence.stream.StreamState`.  At
+hundreds of random points a crash state the model allows there (a
+version of every written line and a durable log prefix) is drawn,
+materialized into a crash image, recovered with the scheme's undo log,
+and validated against transaction atomicity — and the same crashes are
+shown to corrupt the store when logging is disabled.
 
 Usage::
 
@@ -16,55 +19,33 @@ import argparse
 import random
 
 from repro import Scheme
-from repro.persistence import (
-    CrashPoint,
-    Phase,
-    build_functional_txs,
-    crash_image,
-    image_after,
-    recover,
+from repro.lint.runner import lower_for_lint
+from repro.persistence.recovery import (
+    CandidateImages,
+    RecoveryError,
+    check_recovery,
+    verify_atomicity,
 )
-from repro.persistence.model import images_equal
-from repro.persistence.recovery import RecoveryError, verify_atomicity
+from repro.persistence.stream import StreamState
+from repro.verify import derive_candidates, materialize, sample_frontiers
+from repro.verify.model import INTERESTING_KINDS
 from repro.workloads import HashMapWorkload
 
 
-def random_crash(rng, scheme, txs):
-    """Draw a random crash point respecting the scheme's ordering rules."""
-    k = rng.randrange(len(txs))
-    tx = txs[k]
-    phases = [Phase.BEFORE, Phase.IN_FLIGHT, Phase.FLUSHED, Phase.COMMITTED]
-    if scheme.is_software:
-        phases += [Phase.LOGGING, Phase.FLAGGED]
-    phase = rng.choice(phases)
-    log_durable = None
-    data_durable = None
-    if phase is Phase.IN_FLIGHT:
-        if scheme.is_software:
-            n = len(tx.written_lines)
-            data_durable = frozenset(
-                i for i in range(n) if rng.random() < 0.5
-            )
-        else:
-            # Log-before-data: pick log entries first, then only data
-            # lines whose entries are durable.
-            log_set = {
-                i for i in range(len(tx.log_entries)) if rng.random() < 0.7
-            }
-            durable_blocks = {tx.log_entries[i].block for i in log_set}
-            eligible = []
-            for index, line in enumerate(tx.written_lines):
-                covering = [
-                    i for i, e in enumerate(tx.log_entries)
-                    if not (e.block + e.grain <= line or line + 64 <= e.block)
-                ]
-                if set(covering) <= log_set:
-                    eligible.append(index)
-            data_durable = frozenset(
-                i for i in eligible if rng.random() < 0.5
-            )
-            log_durable = frozenset(log_set)
-    return CrashPoint(k, phase, log_durable=log_durable, data_durable=data_durable)
+def crash_images(trace, scheme, crashes, rng):
+    """Yield ``crashes`` crash images at random stream positions, each
+    a random crash state the persistency model allows there."""
+    lowered, layout = lower_for_lint(trace, scheme)
+    state = StreamState(scheme, layout, trace.initial_image)
+    # Crash after instructions that change what a crash can expose.
+    points = [i for i, instr in enumerate(lowered) if instr.kind in INTERESTING_KINDS]
+    positions = sorted(rng.choices(points, k=crashes))
+    for index, instr in enumerate(lowered):
+        state.apply(index, instr)
+        while positions and positions[0] == index:
+            positions.pop(0)
+            frontier = rng.choice(sample_frontiers(state, 8, rng.randrange(1 << 16)))
+            yield materialize(state, frontier)
 
 
 def main() -> None:
@@ -86,17 +67,17 @@ def main() -> None:
         thread_id=0, seed=args.seed, init_ops=300, sim_ops=args.transactions
     )
     trace = workload.generate()
-    initial, txs = build_functional_txs(trace, scheme)
-    candidates = [image_after(initial, txs, k) for k in range(len(txs) + 1)]
+    lowered, layout = lower_for_lint(trace, scheme)
+    images = derive_candidates(lowered, scheme, layout, trace.initial_image)
+    candidates = CandidateImages(images, trace.initial_image)
 
     print(f"Injecting {args.crashes} random crashes under {scheme} ...")
     recovered_counts = {}
-    for _ in range(args.crashes):
-        crash = random_crash(rng, scheme, txs)
-        image = crash_image(initial, txs, scheme, crash)
-        recovered = recover(image)
-        k = verify_atomicity(recovered, candidates)
-        recovered_counts[k] = recovered_counts.get(k, 0) + 1
+    for image in crash_images(trace, scheme, args.crashes, rng):
+        verdict = check_recovery(image, candidates)
+        if not verdict.consistent:
+            raise SystemExit(f"recovery failed: {verdict.error}")
+        recovered_counts[verdict.k] = recovered_counts.get(verdict.k, 0) + 1
 
     print(f"  all {args.crashes} crashes recovered to a transaction "
           f"boundary (atomicity held)")
@@ -104,20 +85,12 @@ def main() -> None:
     print(f"  recovery points spanned transactions "
           f"{spread[0]}..{spread[-1]}")
 
-    # Now show that *no logging* really is unsafe: find a crash whose
-    # torn state matches no transaction boundary.
+    # Now show that *no logging* really is unsafe: find crash states
+    # whose torn contents match no transaction boundary.
     print()
     print("Control experiment: the same store without any logging ...")
-    initial_n, txs_n = build_functional_txs(trace, Scheme.PMEM_NOLOG)
     torn = 0
-    for _ in range(args.crashes):
-        k = rng.randrange(len(txs_n))
-        n = len(txs_n[k].written_lines)
-        subset = frozenset(i for i in range(n) if rng.random() < 0.5)
-        image = crash_image(
-            initial_n, txs_n, Scheme.PMEM_NOLOG,
-            CrashPoint(k, Phase.IN_FLIGHT, data_durable=subset),
-        )
+    for image in crash_images(trace, Scheme.PMEM_NOLOG, args.crashes, rng):
         # No recovery possible; check the raw durable state directly.
         try:
             verify_atomicity(image.durable, candidates)

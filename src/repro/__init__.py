@@ -9,8 +9,8 @@ The package provides:
   and Proteus software-supported hardware logging;
 * the paper's six benchmark data structures plus the large-transaction
   microbenchmark (:mod:`repro.workloads`);
-* a functional persistence model with crash injection and recovery
-  (:mod:`repro.persistence`); and
+* one persistency model of durable contents with crash images and
+  recovery (:mod:`repro.persistence`); and
 * experiment drivers regenerating every figure and table of the paper's
   evaluation (:mod:`repro.analysis`).
 

@@ -60,7 +60,7 @@ class AtomAdapter(LoggingAdapter):
         self._log_slots: List[int] = []
         self._request_outstanding = False
         #: optional fault-injection hooks (same interface as the Proteus
-        #: adapter's): log-slot assignment and durability acknowledgments.
+        #: adapter's): log-slot assignment.
         self.fault_hooks = None
 
     # -- retirement-time logging ------------------------------------------------
@@ -89,9 +89,7 @@ class AtomAdapter(LoggingAdapter):
 
     def _send_log(self, dyn: DynInstr, line: int, slot: int) -> None:
         if self.fault_hooks is not None:
-            self.fault_hooks.on_log_resolved(
-                self.core_id, self.current_txid, slot, line
-            )
+            self.fault_hooks.on_log_resolved(self.core_id, dyn.seq, slot)
         if self.tracer.enabled:
             self.tracer.instant(
                 "log", "atom-log", tid=self.core_id, seq=dyn.seq,
@@ -105,8 +103,6 @@ class AtomAdapter(LoggingAdapter):
         )
 
     def _log_acked(self, dyn: DynInstr, line: int, slot: int) -> None:
-        if self.fault_hooks is not None:
-            self.fault_hooks.on_log_durable(self.core_id, slot)
         if self.tracer.enabled:
             self.tracer.instant(
                 "log", "atom-ack", tid=self.core_id, seq=dyn.seq,

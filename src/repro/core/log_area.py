@@ -25,8 +25,8 @@ class LogAreaOverflow(RuntimeError):
 class LogArea:
     """One thread's circular log buffer.
 
-    Timing simulation only needs :meth:`next_slot`; the functional
-    persistence model also records entry contents for recovery.
+    Timing simulation only needs :meth:`next_slot`; entry contents live
+    in the persistency model (:mod:`repro.persistence.stream`).
     """
 
     def __init__(self, base: int, size: int, thread_id: int = 0) -> None:

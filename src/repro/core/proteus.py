@@ -67,9 +67,8 @@ class ProteusAdapter(LoggingAdapter):
         self.current_txid = 0
         self._loads: Dict[int, _LoadInfo] = {}
         self._awaiting_resolution: List[DynInstr] = []
-        #: optional fault-injection hooks: ``on_log_resolved(core, txid,
-        #: log_to, log_from)`` at LTA assignment and ``on_log_durable(core,
-        #: log_to)`` at the LPQ/WPQ admission acknowledgment.
+        #: optional fault-injection hooks: ``on_log_resolved(core, seq,
+        #: log_to)`` at LTA assignment.
         self.fault_hooks = None
 
     # -- dispatch --------------------------------------------------------------
@@ -164,9 +163,7 @@ class ProteusAdapter(LoggingAdapter):
                 log_from=entry.log_from, log_to=log_to, txid=entry.txid,
             )
         if self.fault_hooks is not None:
-            self.fault_hooks.on_log_resolved(
-                self.core_id, entry.txid, log_to, entry.log_from
-            )
+            self.fault_hooks.on_log_resolved(self.core_id, dyn.seq, log_to)
         self.memctrl.submit_log(
             log_to,
             thread_id=self.core_id,
@@ -188,8 +185,6 @@ class ProteusAdapter(LoggingAdapter):
                     break
 
     def _flush_acked(self, dyn: DynInstr) -> None:
-        if self.fault_hooks is not None:
-            self.fault_hooks.on_log_durable(self.core_id, dyn.logq_entry.log_to)
         if self.tracer.enabled:
             self.tracer.instant(
                 "log", "flush-ack", tid=self.core_id, seq=dyn.seq,

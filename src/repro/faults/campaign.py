@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.core.schemes import Scheme
 from repro.faults.harness import CrashCaseResult, run_crash_case
 from repro.faults.plan import FaultPlan, StuckBankFault, Trigger
-from repro.faults.tracker import ThreadFunctional
+from repro.faults.tracker import ThreadStream
 from repro.obs.export import format_tail
 from repro.obs.tracer import Tracer
 from repro.parallel.journal import SweepJournal, from_payload, to_payload
@@ -352,7 +352,7 @@ def run_campaign(
     only the crash window, not the prefix.  Crash cycles are drawn above
     the checkpoint cycle.  Sound because every scheme flushes written
     lines before transaction end, so the checkpoint's durable image
-    equals its functional golden image.
+    equals the golden image the continuation traces start from.
     """
     scheme = Scheme.parse(scheme)
     if not scheme.failure_safe:
@@ -392,7 +392,7 @@ def run_campaign(
             w.generate_segment(w.sim_ops - warm_start_ops) for w in workloads
         ]
         models = {
-            trace.thread_id: ThreadFunctional(
+            trace.thread_id: ThreadStream(
                 trace,
                 scheme,
                 sw_log_cursor=snapshot.sw_log_cursors.get(trace.thread_id),
@@ -404,7 +404,7 @@ def run_campaign(
             workload_cls, threads=threads, seed=seed, **workload_kwargs
         )
         models = {
-            trace.thread_id: ThreadFunctional(trace, scheme) for trace in traces
+            trace.thread_id: ThreadStream(trace, scheme) for trace in traces
         }
 
     # Clean census run: must complete and recover to the final image.
@@ -455,10 +455,6 @@ def run_campaign(
 
     def run_case(item: Tuple[int, FaultPlan]) -> Tuple[int, CrashCaseResult]:
         index, plan = item
-        # Manufactured log/flag drops *should* trip the log-before-data
-        # invariant; keep building the image so detection surfaces from
-        # recovery checking rather than image construction.
-        enforce = not (plan.drop_log_every or plan.drop_flag_every)
         # Fresh ring per case: MachineState keeps only this crash's tail.
         tracer = Tracer(capacity=4096) if trace_tail > 0 else None
         case = run_crash_case(
@@ -467,7 +463,6 @@ def run_campaign(
             models,
             plan,
             config=config,
-            enforce_invariant=enforce,
             max_cycles=max_cycles,
             tracer=tracer,
             trace_tail_cycles=trace_tail,

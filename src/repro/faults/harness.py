@@ -3,14 +3,15 @@
 The :class:`FaultInjector` attaches to every observation point the timing
 simulator exposes — memory-controller fault hooks, WPQ/LPQ admission
 observers, the NVM device write observer, core retirement observers and
-the hardware-logging adapters' flush acknowledgments — counts trigger
+the hardware-logging adapters' log-slot assignments — counts trigger
 events, halts the engine when the plan's crash trigger fires, and routes
 every durability event into the :class:`DurabilityTracker`.
 
 :func:`run_crash_case` runs one planned crash end to end: simulate until
-the trigger fires, capture the machine state, synthesize each thread's
-durable image from real microarchitectural history, run the scheme's
-recovery, and check atomicity against the functional reference.
+the trigger fires, capture the machine state, build each thread's
+durable image from the versions its lines were admitted at, run the
+scheme's recovery, and check atomicity against the candidate images
+derived from the thread's lowered stream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.persistence.recovery import check_recovery
 from repro.sim.config import SystemConfig, fast_nvm_config
 from repro.sim.engine import SimulationHalted
 from repro.faults.plan import FaultPlan
-from repro.faults.tracker import DurabilityTracker, ThreadFunctional
+from repro.faults.tracker import DurabilityTracker, ThreadStream
 
 #: words per cache line, for torn-write subsets.
 _WORDS_PER_LINE = CACHE_LINE // 8
@@ -67,6 +68,7 @@ class FaultInjector:
 
     def attach(self, sim) -> None:
         """Called by the simulator once the machine is built."""
+        self.tracker.attach(sim)
         self.sim = sim
         self.engine = sim.engine
         self.memctrl = sim.memctrl
@@ -104,11 +106,8 @@ class FaultInjector:
         if dyn.instr.kind in FENCE_KINDS:
             self._trip("fence-retire")
 
-    def on_log_resolved(self, core_id: int, txid: int, log_to: int, log_from: int) -> None:
-        self.tracker.on_log_resolved(core_id, txid, log_to, log_from)
-
-    def on_log_durable(self, core_id: int, log_to: int) -> None:
-        self.tracker.on_log_durable(core_id, log_to)
+    def on_log_resolved(self, core_id: int, index: int, log_to: int) -> None:
+        self.tracker.on_log_resolved(core_id, index, log_to)
 
     def on_llt_evict(self, block: int) -> None:
         self._trip("llt-evict")
@@ -291,10 +290,9 @@ class CrashCaseResult:
 def run_crash_case(
     scheme: Scheme,
     op_traces: List[OpTrace],
-    models: Dict[int, ThreadFunctional],
+    models: Dict[int, ThreadStream],
     plan: FaultPlan,
     config: Optional[SystemConfig] = None,
-    enforce_invariant: bool = True,
     max_cycles: int = 500_000_000,
     tracer: Optional[Tracer] = None,
     trace_tail_cycles: int = 0,
@@ -347,10 +345,7 @@ def run_crash_case(
     detail = ""
     for thread in sorted(models):
         verdict = check_recovery(
-            lambda t=thread: tracker.build_crash_image(
-                t, enforce_invariant=enforce_invariant
-            ),
-            models[thread].candidates,
+            tracker.build_crash_image(thread), models[thread].candidates
         )
         ks.append(verdict.k)
         if not verdict.consistent:

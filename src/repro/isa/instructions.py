@@ -108,7 +108,7 @@ class Instruction:
         latency: execution latency in cycles for ALU work.
         value: functional payload for stores (used by the persistence
             model, ignored by the timing model).
-        tag: free-form annotation used by tests and the functional model
+        tag: free-form annotation used by tests and the persistency model
             (e.g. ``"log-entry"``, ``"logflag"``, ``"data"``).
     """
 

@@ -37,8 +37,8 @@ class OpTrace:
     items: List[TraceItem] = field(default_factory=list)
     warm_lines: List[int] = field(default_factory=list)
     #: word -> value snapshot of memory after initialization and before
-    #: the first measured transaction; used by the functional persistence
-    #: model as the recovery ground truth.
+    #: the first measured transaction; the persistency model's lines
+    #: start from it, and it is the recovery ground truth.
     initial_image: Optional[dict] = None
 
     def append(self, item: TraceItem) -> None:

@@ -1,7 +1,7 @@
 """Set-associative write-back cache with LRU replacement.
 
-The cache tracks only line presence and dirtiness (the functional value
-image lives in :mod:`repro.persistence`, not here).  Each set maps a
+The cache tracks only line presence and dirtiness (line contents live
+in the persistency model, :mod:`repro.persistence`, not here).  Each set maps a
 resident line's address to its dirty bit, so a line is one dict entry
 and no object.  Lookup, fill and eviction are synchronous state changes;
 timing is applied by the hierarchy, which knows the per-level latencies.
@@ -230,7 +230,7 @@ class Cache:
         return sum(len(cache_set) for cache_set in self.sets)
 
     def dirty_lines(self) -> List[int]:
-        """Addresses of all dirty lines (used by the functional model)."""
+        """Addresses of all dirty lines."""
         return [
             addr
             for cache_set in self.sets

@@ -1,39 +1,33 @@
-"""Functional persistence model: crash images and recovery.
+"""One model of durable contents: crash images and recovery.
 
 The timing simulator (:mod:`repro.sim`) answers *how fast*; this package
-holds what every correctness check shares.  It replays workload traces
-through a word-granular functional model of the persistency domain,
-builds the durable :class:`CrashImage` a crash leaves behind, runs the
-scheme's recovery procedure, and checks transaction atomicity: the
-recovered image must equal the image after some whole number of
-committed transactions (:func:`check_recovery`).
+holds what every correctness check shares.  A lowered instruction
+stream is replayed through one persistency model,
+:class:`~repro.persistence.stream.StreamState`, which keeps each touched
+cache line's content versions, the floor a crash cannot go below, and
+the in-flight hardware undo log.  :func:`build_image` turns a choice of
+line versions and durable log entries into the :class:`CrashImage` a
+crash leaves behind, the scheme's recovery procedure repairs it, and
+:func:`check_recovery` checks transaction atomicity: the recovered image
+must equal the image after some whole number of committed transactions.
 
-Two checkers build the images: the fault campaign
-(:mod:`repro.faults`) from the timing machine's real durability events,
-and persist-verify (:mod:`repro.verify`) from every crash frontier of a
-lowered stream.  :func:`crash_image` builds one from an abstract
-:class:`CrashPoint` (a transaction, a :class:`Phase` and the durable
-log and data subsets); its explicit choices suit property-based tests.
+Every checker walks this one model:
 
-The static checkers share one more thing: persist-lint
-(:mod:`repro.lint`) and persist-verify walk a lowered stream through
-the same persistency model, :mod:`repro.persistence.stream`.
+* persist-lint (:mod:`repro.lint`) reads the lines' persist states;
+* persist-verify (:mod:`repro.verify`) builds an image from every crash
+  frontier the model allows at every stream position;
+* the fault campaign (:mod:`repro.faults`) replays the instructions a
+  real timing run retired and builds the image from the line versions
+  its machine admitted to the persistence domain before the crash.
 """
 
 from repro.persistence.crash import (
     CrashImage,
-    CrashPoint,
     InvariantViolation,
-    Phase,
-    crash_image,
-)
-from repro.persistence.model import (
-    FunctionalTx,
     LogEntry,
-    build_functional_txs,
-    image_after,
     images_equal,
 )
+from repro.persistence.image import StreamView, build_image, stream_view
 from repro.persistence.recovery import (
     CandidateImages,
     RecoveryError,
@@ -47,19 +41,16 @@ from repro.persistence.recovery import (
 __all__ = [
     "CandidateImages",
     "CrashImage",
-    "CrashPoint",
-    "FunctionalTx",
     "InvariantViolation",
     "LogEntry",
-    "Phase",
     "RecoveryError",
     "RecoveryVerdict",
+    "StreamView",
+    "build_image",
     "check_recovery",
-    "build_functional_txs",
-    "crash_image",
-    "image_after",
     "images_equal",
     "recover",
     "recovery_cost",
+    "stream_view",
     "verify_atomicity",
 ]

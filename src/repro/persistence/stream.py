@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.codegen import REGION_DATA, ThreadLayout, region_of
 from repro.core.schemes import Scheme
 from repro.isa.instructions import CACHE_LINE, Instruction, Kind, expand_log_blocks
-from repro.persistence.model import WORD, LogEntry
+from repro.persistence.crash import WORD, LogEntry
 
 _LINE_MASK = ~(CACHE_LINE - 1)
 
@@ -119,6 +119,9 @@ class HwEntry:
     pre_image: Tuple[Tuple[int, int], ...]
     txid: int
     order: int
+    #: index of the instruction that created the entry (the log-flush,
+    #: or under ATOM the store).
+    index: int
 
     def to_log_entry(self) -> LogEntry:
         return LogEntry(
@@ -128,24 +131,6 @@ class HwEntry:
             txid=self.txid,
             order=self.order,
         )
-
-
-@dataclass
-class CommitMark:
-    """One commit point: hardware ``tx-end`` or software logFlag clear.
-
-    ``sealed`` flips once the commit's durability promise is made to the
-    program: immediately for hardware (``tx-end`` retirement drains the
-    mark), at the next persist fence (+``pcommit`` where required) for
-    software — the Figure-2 step-4 fence is the point after which the
-    application may rely on the transaction surviving any crash.
-    """
-
-    txid: int
-    #: flag line and the version its clear produced (software only).
-    line: Optional[int]
-    version: Optional[int]
-    sealed: bool = False
 
 
 class StreamState:
@@ -165,7 +150,11 @@ class StreamState:
             PersistState.DURABLE if scheme.uses_pcommit else PersistState.FENCED
         )
         self.memory: Dict[int, int] = dict(initial_image or {})
-        self.initial_image: Dict[int, int] = dict(initial_image or {})
+        #: the caller's image, never mutated: crash images overlay it, so
+        #: candidates built over the same object need no rebuilding.
+        self.initial_image: Dict[int, int] = (
+            initial_image if initial_image is not None else {}
+        )
         #: initial words of each line not yet tracked, by line.
         self._initial_lines: Dict[int, Dict[int, int]] = {}
         for word, value in self.initial_image.items():
@@ -184,7 +173,15 @@ class StreamState:
         self._logged_blocks: Set[int] = set()
         #: log block -> entry prefix that covers it (Proteus pairs).
         self._pair_need: Dict[int, int] = {}
-        self.commits: List[CommitMark] = []
+        #: commit points executed (a hardware ``tx-end``, a software
+        #: logFlag clear), and those whose durability promise has been
+        #: made: immediately for hardware (``tx-end`` retirement drains
+        #: the mark), at the next persist fence (+``pcommit`` where
+        #: required) for software, the Figure-2 step-4 fence after which
+        #: the application may rely on the transaction surviving any
+        #: crash.
+        self._commits_executed = 0
+        self._commits_sealed = 0
         #: counts the transitions that can change what a crash exposes
         #: (all but a load and a log-load): a view derived from this
         #: state, such as persist-verify's frontier view, is current
@@ -228,7 +225,7 @@ class StreamState:
         if value is None:
             # Log-copy idiom: the payload is whatever the paired load of
             # the data line just read.  Plain data stores carry explicit
-            # values; a missing one means zero (functional-model rule).
+            # values; a missing one means zero.
             value = self._last_load_value if instr.tag == "log-copy" else 0
         addr = instr.addr
         end = addr + instr.size
@@ -245,7 +242,7 @@ class StreamState:
                     pair_need.get(block, 0) for block in expand_log_blocks(addr, instr.size)
                 )
             elif self.scheme.is_hardware:
-                self._atom_log(instr)
+                self._atom_log(index, instr)
         start = addr
         while start < end:
             # The words of this store that fall in one line.
@@ -271,17 +268,13 @@ class StreamState:
         memory = self.memory
         for word in range(addr, end, WORD):
             memory[word] = value
-        # Commit marks: the software logFlag clear is the commit point.
+        # The software logFlag clear is the commit point.
         if (
             instr.tag == "logflag"
             and instr.value in (0, None)
             and self.scheme.is_software
         ):
-            flag_line = self.layout.logflag_addr & _LINE_MASK
-            history = self._history(flag_line)
-            self.commits.append(
-                CommitMark(txid=txid, line=flag_line, version=history.executed)
-            )
+            self._commits_executed += 1
 
     def flush(self, line: int) -> None:
         """``clwb``/``clflushopt``: capture a dirty line's newest version."""
@@ -331,8 +324,7 @@ class StreamState:
         self._seal_commits()
 
     def _seal_commits(self) -> None:
-        for mark in self.commits:
-            mark.sealed = True
+        self._commits_sealed = self._commits_executed
 
     def tx_begin(self, txid: int) -> None:
         """``tx-begin``: open a transaction unless one is open already."""
@@ -345,9 +337,8 @@ class StreamState:
         """``tx-end``: a ``pcommit`` that also commits the open transaction."""
         self.pcommit()
         if self.open_txid is not None:
-            self.commits.append(
-                CommitMark(txid=self.open_txid, line=None, version=None, sealed=True)
-            )
+            self._commits_executed += 1
+            self._seal_commits()
         self.open_txid = None
         self._reset_log()
 
@@ -380,13 +371,14 @@ class StreamState:
                 pre_image=tuple(sorted(captured.items())),
                 txid=instr.txid,
                 order=len(self.entries),
+                index=index,
             )
         )
         # A Proteus store may persist only after the newest entry
         # covering its block (its log-before-data edge).
         self._pair_need[instr.addr] = len(self.entries)
 
-    def _atom_log(self, instr: Instruction) -> None:
+    def _atom_log(self, index: int, instr: Instruction) -> None:
         """ATOM logs the line at store retirement, before the store's own
         data can drain; the entry is durable by hardware construction."""
         first = instr.addr & _LINE_MASK
@@ -406,6 +398,7 @@ class StreamState:
                     pre_image=pre,
                     txid=instr.txid,
                     order=len(self.entries),
+                    index=index,
                 )
             )
         self.fenced_entries = len(self.entries)
@@ -435,7 +428,7 @@ class StreamState:
     # -- per-position views ----------------------------------------------------
 
     def commits_executed(self) -> int:
-        return len(self.commits)
+        return self._commits_executed
 
     def commits_sealed(self) -> int:
         """Commit points whose durability promise has been made.
@@ -445,7 +438,7 @@ class StreamState:
         violation even when the recovered image is internally consistent
         (e.g. a committed transaction silently rolled back because its
         flag clear or a data flush never persisted)."""
-        return sum(1 for mark in self.commits if mark.sealed)
+        return self._commits_sealed
 
     def digest(self) -> Tuple[object, ...]:
         """Canonical key of the reachable crash-state set at this point.
@@ -454,16 +447,18 @@ class StreamState:
         frontier sets and recovery verdicts, so the checker enumerates
         only one of them (per-epoch frontier canonicalization: positions
         inside one epoch differ only where a tracked component moved).
+        Tracked lines are only ever added, so their insertion order is
+        canonical within one walk.
         """
         line_part = tuple(
             (line, history.floor, history.executed)
-            for line, history in sorted(self.lines.items())
+            for line, history in self.lines.items()
         )
         return (
             line_part,
             len(self.entries),
             self.fenced_entries,
             self.open_txid,
-            len(self.commits),
-            self.commits_sealed(),
+            self._commits_executed,
+            self._commits_sealed,
         )

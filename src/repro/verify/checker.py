@@ -33,6 +33,7 @@ from repro.core.schemes import Scheme
 from repro.isa.instructions import Instruction, Kind
 from repro.isa.trace import InstructionTrace, OpTrace
 from repro.lint.runner import layout_for_thread, lower_for_lint
+from repro.persistence.image import stream_view
 from repro.persistence.recovery import (
     CandidateImages,
     RecoveryVerdict,
@@ -42,7 +43,6 @@ from repro.persistence.stream import StreamState
 from repro.verify.frontier import (
     Frontier,
     count_frontiers,
-    frontier_view,
     iter_exhaustive,
     materialize,
     sample_frontiers,
@@ -220,7 +220,7 @@ def verify_instruction_trace(
         verdict = verdict_of(frontier)
         if not verdict.consistent:
             return ("V001", verdict.error, verdict.k)
-        view = frontier_view(state)
+        view = stream_view(state)
         sealed, executed = view.sealed, view.executed
         # The recovered image matches every candidate equal to the first
         # one it matched (``verdict.k``), and any of them in range keeps

@@ -18,7 +18,7 @@ from repro.core.schemes import Scheme
 from repro.isa.instructions import Kind
 from repro.isa.trace import InstructionTrace
 from repro.lint.profiles import profile_for
-from repro.persistence.model import WORD
+from repro.persistence.crash import WORD
 
 #: Instruction kinds after which the reachable crash-state set changes.
 INTERESTING_KINDS = frozenset(
@@ -84,8 +84,8 @@ def derive_candidates(
 
     Derived from the stream itself: transaction spans in program order,
     folding each span's data-region stores into the running image.  For
-    clean lowered streams this equals the functional model's candidate
-    list; mutated streams keep the *intended* candidates because the
+    clean lowered streams these are the images after whole transactions;
+    mutated streams keep the *intended* candidates because the
     mutators perturb persists and log writes, not the data stores
     (a data store pushed outside every span drops out — exactly the
     durable state no committed prefix can explain).

@@ -8,8 +8,8 @@ structures; the harness packages each operation into a
 :class:`~repro.isa.ops.TxRecord`.
 
 The harness also maintains a *golden image* — the final value of every
-word ever stored — so the functional persistence layer and recovery tests
-can validate results against it.
+word ever stored — so the persistency model and recovery tests can
+validate results against it.
 """
 
 from __future__ import annotations
@@ -144,9 +144,8 @@ class Workload:
 
         The trace's ``initial_image`` and ``warm_lines`` reflect the
         workload state *at the segment start* (setup plus every
-        previously emitted or skipped operation), so the functional
-        persistence model of a suffix segment starts from the correct
-        memory image.  Generating the full stream in segments yields
+        previously emitted or skipped operation), so the persistency
+        model of a suffix segment starts from the correct memory image.  Generating the full stream in segments yields
         byte-identical operations to one :meth:`generate` call.
         """
         if count < 0:

@@ -3,8 +3,8 @@
 The array holds ``num_items`` strings of 256 B each.  One operation picks
 two random slots, reads both strings and writes each into the other's
 slot — 8 cache-line writes per transaction.  String contents are modeled
-as one identity word per 64 B line (enough for the functional layer to
-verify that swaps really swapped).
+as one identity word per 64 B line (enough for the persistency model
+to verify that swaps really swapped).
 
 The paper uses 262,144 items; the scaled default keeps the array far
 larger than the L2 so the access pattern stays memory-bound.

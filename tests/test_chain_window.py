@@ -29,7 +29,7 @@ from repro.core.schemes import Scheme
 from repro.cpu.ooo_core import LinkRun, OooCore, State
 from repro.faults import FaultPlan, Trigger
 from repro.faults.harness import FaultInjector
-from repro.faults.tracker import DurabilityTracker, ThreadFunctional
+from repro.faults.tracker import DurabilityTracker, ThreadStream
 from repro.isa.instructions import Instruction, Kind, alu
 from repro.isa.ops import Op
 from repro.isa.trace import OpTrace
@@ -63,7 +63,7 @@ def build_sim(scheme, workload="QE", threads=1, plan=None, llt_entries=None):
         config = config.with_proteus(llt_entries=llt_entries, llt_ways=1)
     injector = None
     if plan is not None:
-        models = {trace.thread_id: ThreadFunctional(trace, scheme) for trace in traces}
+        models = {trace.thread_id: ThreadStream(trace, scheme) for trace in traces}
         injector = FaultInjector(plan, DurabilityTracker(models))
     return Simulator(config, scheme, traces, fault_injector=injector)
 

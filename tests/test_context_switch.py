@@ -79,13 +79,8 @@ def test_log_save_waits_for_pending_flushes():
 def test_recovery_across_context_switch_duplicates():
     """Rescheduling may re-log the same data; recovery uses the earliest
     entry, so duplicates are harmless (paper section 4.4)."""
-    from repro.persistence.crash import CrashPoint, Phase, crash_image
-    from repro.persistence.model import (
-        build_functional_txs,
-        image_after,
-        images_equal,
-    )
-    from repro.persistence.recovery import recover
+    from repro.persistence.crash import images_equal
+    from tests.crashes import Walk, recovered
 
     trace = OpTrace(thread_id=0)
     trace.initial_image = {0x1000: 5}
@@ -93,11 +88,11 @@ def test_recovery_across_context_switch_duplicates():
     record.body = [Op.write(0x1000, 6), Op.write(0x1000, 7)]
     record.log_candidates = [(0x1000, 64)]
     trace.append(record)
-    # llt_capacity=0 forces a fresh log entry per store, emulating the
-    # worst case of a switch clearing the LLT mid-transaction.
-    initial, txs = build_functional_txs(trace, Scheme.PROTEUS, llt_capacity=0)
-    assert len(txs[0].log_entries) == 2
-    image = crash_image(initial, txs, Scheme.PROTEUS, CrashPoint(0, Phase.FLUSHED))
-    recovered = recover(image)
-    assert recovered[0x1000] == 5  # earliest pre-image wins
-    assert images_equal(recovered, image_after(initial, txs, 0))
+    # The stream logs the block once per store, as a switch clearing
+    # the LLT mid-transaction would make the hardware do.
+    walk = Walk(trace, Scheme.PROTEUS)
+    image = walk.crash(0, "flushed")
+    assert len(image.log_entries) == 2
+    whole = recovered(image)
+    assert whole[0x1000] == 5  # earliest pre-image wins
+    assert images_equal(whole, walk.candidates[0])

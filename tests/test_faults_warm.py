@@ -5,8 +5,8 @@ snapshots the quiesced machine, and launches every crash case from the
 restored snapshot instead of from reset.  These tests hold that the
 warm path changes *where wall time goes*, not what the campaign means:
 clean-mode campaigns stay clean, crash cycles land strictly after the
-checkpoint, and the software-scheme functional model starts its log
-slots at the snapshot's cursor.
+checkpoint, and the software-scheme stream model starts its log slots
+at the snapshot's cursor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.faults.campaign import run_campaign
-from repro.faults.tracker import ThreadFunctional
+from repro.faults.tracker import ThreadStream
 from repro.workloads import QueueWorkload
 from repro.workloads.heap import ThreadAddressSpace
 
@@ -70,27 +70,30 @@ def test_warm_start_bounds_are_enforced():
         )
 
 
-def test_thread_functional_honors_sw_log_cursor():
-    """The functional model's slot map starts at the supplied cursor."""
+def test_thread_stream_honors_sw_log_cursor():
+    """The tracker's lowered stream takes its log slots from the
+    supplied cursor, as the restored machine's lowering does."""
     workload = QueueWorkload(thread_id=0, seed=7, init_ops=12, sim_ops=6)
     workload.skip(3)
     trace = workload.generate_segment(3)
 
     from repro.core.codegen import SW_LOG_BYTES_PER_LINE
+    from repro.isa.instructions import CACHE_LINE
 
     space = ThreadAddressSpace(0)
-    default = ThreadFunctional(trace, Scheme.PMEM)
+    default = ThreadStream(trace, Scheme.PMEM)
     offset = space.sw_log_base + 4 * SW_LOG_BYTES_PER_LINE
-    shifted = ThreadFunctional(trace, Scheme.PMEM, sw_log_cursor=offset)
+    shifted = ThreadStream(trace, Scheme.PMEM, sw_log_cursor=offset)
 
     assert default.sw_log_cursor is None
     assert shifted.sw_log_cursor == offset
-    default_slots = {
-        record[0] for records in default.sw_slots for record in records
-    }
-    shifted_slots = {
-        record[0] for records in shifted.sw_slots for record in records
-    }
+
+    def slots(model):
+        return {
+            instr.addr - CACHE_LINE for instr in model.trace if instr.tag == "log-hdr"
+        }
+
+    default_slots, shifted_slots = slots(default), slots(shifted)
     assert default_slots and shifted_slots
     assert min(default_slots) == space.sw_log_base
     assert min(shifted_slots) == offset

@@ -4,11 +4,10 @@ at most one in-flight transaction (paper section 4.3)."""
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.persistence.crash import CrashPoint, Phase, crash_image
-from repro.persistence.model import build_functional_txs, image_after, images_equal
-from repro.persistence.recovery import recover
+from repro.persistence.crash import images_equal
 from repro.workloads.base import generate_traces
 from repro.workloads.queue_wl import QueueWorkload
+from tests.crashes import Walk, phases_for, recovered
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +22,14 @@ def test_threads_recover_independently(thread_traces):
     scheme = Scheme.PROTEUS
     recovered_union = {}
     expected_union = {}
-    crash_plan = [
-        (0, Phase.COMMITTED),
-        (1, Phase.IN_FLIGHT),
-        (2, Phase.FLUSHED),
-    ]
+    crash_plan = [(0, "committed"), (1, "in-flight"), (2, "flushed")]
     for trace, (k, phase) in zip(thread_traces, crash_plan):
-        initial, txs = build_functional_txs(trace, scheme)
-        image = crash_image(initial, txs, scheme, CrashPoint(k, phase))
-        recovered = recover(image)
-        expected_k = k + 1 if phase is Phase.COMMITTED else k
-        expected = image_after(initial, txs, expected_k)
-        assert images_equal(recovered, expected)
-        recovered_union.update(recovered)
+        walk = Walk(trace, scheme)
+        whole = recovered(walk.crash(k, phase))
+        expected_k = k + 1 if phase == "committed" else k
+        expected = walk.candidates[expected_k]
+        assert images_equal(whole, expected)
+        recovered_union.update(whole)
         expected_union.update(expected)
     assert images_equal(recovered_union, expected_union)
 
@@ -55,13 +49,10 @@ def test_thread_address_spaces_disjoint(thread_traces):
 
 @pytest.mark.parametrize("scheme", [Scheme.PMEM, Scheme.ATOM, Scheme.PROTEUS])
 def test_every_thread_every_phase(thread_traces, scheme):
-    phases = [Phase.BEFORE, Phase.IN_FLIGHT, Phase.FLUSHED, Phase.COMMITTED]
-    if scheme.is_software:
-        phases += [Phase.LOGGING, Phase.FLAGGED]
     for trace in thread_traces:
-        initial, txs = build_functional_txs(trace, scheme)
-        for phase in phases:
-            image = crash_image(initial, txs, scheme, CrashPoint(2, phase))
-            recovered = recover(image)
-            expected_k = 3 if phase is Phase.COMMITTED else 2
-            assert images_equal(recovered, image_after(initial, txs, expected_k))
+        walk = Walk(trace, scheme)
+        for phase in phases_for(scheme):
+            expected_k = 3 if phase == "committed" else 2
+            assert images_equal(
+                recovered(walk.crash(2, phase)), walk.candidates[expected_k]
+            )

@@ -104,64 +104,30 @@ def test_logq_block_ordering_property(events):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_recovery_atomicity_property(data):
-    """THE paper invariant: for any crash point, any durable log subset,
-    and any data subset permitted by log-before-data ordering, recovery
-    lands exactly on a transaction boundary."""
-    from repro.persistence.crash import CrashPoint, Phase, crash_image
-    from repro.persistence.model import build_functional_txs, image_after, images_equal
-    from repro.persistence.recovery import recover
+    """THE paper invariant: for any crash point, and any line versions
+    and durable log prefix the persistency model allows there (which
+    respects log-before-data), recovery lands exactly on a transaction
+    boundary."""
+    from repro.persistence.crash import images_equal
+    from repro.verify.frontier import materialize, sample_frontiers
     from repro.workloads.queue_wl import QueueWorkload
+    from tests.crashes import Walk, phases_for, recovered
 
     scheme = data.draw(st.sampled_from(
         [Scheme.PMEM, Scheme.PROTEUS, Scheme.PROTEUS_NOLWR, Scheme.ATOM]
     ))
     seed = data.draw(st.integers(min_value=0, max_value=5))
     wl = QueueWorkload(thread_id=0, seed=seed, init_ops=20, sim_ops=8)
-    trace = wl.generate()
-    initial, txs = build_functional_txs(trace, scheme)
-    k = data.draw(st.integers(min_value=0, max_value=len(txs) - 1))
-    tx = txs[k]
-    phases = [Phase.BEFORE, Phase.IN_FLIGHT, Phase.FLUSHED, Phase.COMMITTED]
-    if scheme.is_software:
-        phases += [Phase.LOGGING, Phase.FLAGGED]
-    phase = data.draw(st.sampled_from(phases))
-
-    log_durable = None
-    data_durable = None
-    if phase is Phase.IN_FLIGHT and not scheme.is_software:
-        n_log = len(tx.log_entries)
-        log_set = set(data.draw(st.sets(
-            st.integers(min_value=0, max_value=max(0, n_log - 1)),
-            max_size=n_log,
-        )))
-        # Only lines fully covered by durable log entries may be durable.
-        durable_blocks = {tx.log_entries[i].block for i in log_set}
-        eligible = []
-        for index, line in enumerate(tx.written_lines):
-            entry = tx.entry_for_line(line)
-            if entry is not None and entry.block in durable_blocks:
-                # Every entry overlapping the line must be durable.
-                covering = [
-                    i for i, e in enumerate(tx.log_entries)
-                    if not (e.block + e.grain <= line or line + 64 <= e.block)
-                ]
-                if set(covering) <= log_set:
-                    eligible.append(index)
-        data_set = data.draw(st.sets(st.sampled_from(eligible), max_size=len(eligible))) if eligible else set()
-        log_durable = frozenset(log_set)
-        data_durable = frozenset(data_set)
-    elif phase is Phase.IN_FLIGHT:
-        n = len(tx.written_lines)
-        subset = data.draw(st.sets(
-            st.integers(min_value=0, max_value=max(0, n - 1)), max_size=n
-        )) if n else set()
-        data_durable = frozenset(subset)
-
-    crash = CrashPoint(k, phase, log_durable=log_durable, data_durable=data_durable)
-    image = crash_image(initial, txs, scheme, crash)
-    recovered = recover(image)
-    expected_k = k + 1 if phase is Phase.COMMITTED else k
-    assert images_equal(recovered, image_after(initial, txs, expected_k))
+    walk = Walk(wl.generate(), scheme)
+    k = data.draw(st.integers(min_value=0, max_value=walk.transactions - 1))
+    phase = data.draw(st.sampled_from(phases_for(scheme)))
+    state = walk.state(walk.position(k, phase))
+    frontiers = sample_frontiers(state, 16, data.draw(st.integers(0, 1 << 16)))
+    frontier = data.draw(st.sampled_from(frontiers))
+    expected_k = k + 1 if phase == "committed" else k
+    assert images_equal(
+        recovered(materialize(state, frontier)), walk.candidates[expected_k]
+    )
 
 
 @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=50))

@@ -1,12 +1,12 @@
-"""Tests for recovery-cost accounting."""
+"""Tests for recovery-cost accounting, on stream-model crash images."""
 
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.persistence.crash import CrashImage, CrashPoint, Phase, crash_image
-from repro.persistence.model import build_functional_txs
+from repro.persistence.crash import CrashImage
 from repro.persistence.recovery import RecoveryError, recovery_cost
 from repro.workloads.queue_wl import QueueWorkload
+from tests.crashes import Walk
 
 
 @pytest.fixture(scope="module")
@@ -15,40 +15,39 @@ def trace():
 
 
 def test_committed_crash_costs_almost_nothing(trace):
-    initial, txs = build_functional_txs(trace, Scheme.PROTEUS)
-    image = crash_image(initial, txs, Scheme.PROTEUS, CrashPoint(4, Phase.COMMITTED))
+    image = Walk(trace, Scheme.PROTEUS).crash(4, "committed")
     cost = recovery_cost(image)
     assert cost["data_writes"] == 0
     assert cost["flag_writes"] == 0
 
 
 def test_inflight_cost_proportional_to_log(trace):
-    initial, txs = build_functional_txs(trace, Scheme.PROTEUS)
-    k = max(range(len(txs)), key=lambda i: len(txs[i].log_entries))
-    image = crash_image(initial, txs, Scheme.PROTEUS, CrashPoint(k, Phase.FLUSHED))
+    walk = Walk(trace, Scheme.PROTEUS)
+    images = [walk.crash(k, "flushed") for k in range(walk.transactions)]
+    image = max(images, key=lambda image: len(image.log_entries))
     cost = recovery_cost(image)
-    distinct_blocks = {entry.block for entry in txs[k].log_entries}
+    distinct_blocks = {entry.block for entry in image.log_entries}
     assert cost["data_writes"] == len(distinct_blocks)
-    assert cost["log_reads"] >= len(txs[k].log_entries)
+    assert cost["log_reads"] >= len(image.log_entries)
 
 
 def test_software_cost_includes_flag_handling(trace):
-    initial, txs = build_functional_txs(trace, Scheme.PMEM)
-    image = crash_image(initial, txs, Scheme.PMEM, CrashPoint(3, Phase.FLUSHED))
+    image = Walk(trace, Scheme.PMEM).crash(3, "flushed")
     cost = recovery_cost(image)
     assert cost["flag_writes"] == 1
-    assert cost["data_writes"] == len(txs[3].log_entries)
+    assert cost["data_writes"] == len(
+        [entry for entry in image.log_entries if entry.txid == image.logflag]
+    ) > 0
 
 
 def test_clean_software_crash_reads_only_flag(trace):
-    initial, txs = build_functional_txs(trace, Scheme.PMEM)
-    image = crash_image(initial, txs, Scheme.PMEM, CrashPoint(3, Phase.BEFORE))
+    image = Walk(trace, Scheme.PMEM).crash(3, "before")
     cost = recovery_cost(image)
     assert cost == {"log_reads": 1, "data_writes": 0, "flag_writes": 0}
 
 
-def test_duplicate_blocks_written_once(trace):
-    """Even with duplicate (LLT-evicted) entries, each block is restored
+def test_duplicate_blocks_written_once():
+    """Even with duplicate (re-logged) entries, each block is restored
     exactly once — recovery cost is bounded by distinct blocks."""
     from repro.isa.ops import Op, TxRecord
     from repro.isa.trace import OpTrace
@@ -60,9 +59,8 @@ def test_duplicate_blocks_written_once(trace):
                Op.write(0x1000, 10)]
     tx.log_candidates = [(0x1000, 128)]
     small.append(tx)
-    initial, txs = build_functional_txs(small, Scheme.PROTEUS, llt_capacity=2)
-    assert len(txs[0].log_entries) == 4  # one duplicate
-    image = crash_image(initial, txs, Scheme.PROTEUS, CrashPoint(0, Phase.FLUSHED))
+    image = Walk(small, Scheme.PROTEUS).crash(0, "flushed")
+    assert len(image.log_entries) == 4  # one duplicate
     assert recovery_cost(image)["data_writes"] == 3
 
 

@@ -16,8 +16,7 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.faults.campaign import run_campaign
 from repro.lint.runner import lower_for_lint
-from repro.persistence.crash import CrashImage, InvariantViolation
-from repro.persistence.model import LogEntry
+from repro.persistence.crash import CrashImage, InvariantViolation, LogEntry
 from repro.persistence.recovery import (
     RecoveryError,
     RecoveryVerdict,

@@ -23,7 +23,7 @@ from repro.core.schemes import Scheme
 from repro.cpu.adapter import NullAdapter
 from repro.cpu.ooo_core import OooCore, State
 from repro.faults import FaultPlan, Trigger, run_crash_case
-from repro.faults.tracker import ThreadFunctional
+from repro.faults.tracker import ThreadStream
 from repro.isa.instructions import (
     FENCE_KINDS,
     LOAD_QUEUE_KINDS,
@@ -328,7 +328,7 @@ def test_halt_lands_on_its_exact_cycle(halt_cycle):
 def test_cycle_crash_trigger_lands_on_its_exact_cycle(crash_cycle):
     traces = generate_traces(QueueWorkload, threads=1, seed=7, init_ops=12, sim_ops=6)
     models = {
-        trace.thread_id: ThreadFunctional(trace, Scheme.PROTEUS) for trace in traces
+        trace.thread_id: ThreadStream(trace, Scheme.PROTEUS) for trace in traces
     }
     plan = FaultPlan(seed=3, crash=Trigger("cycle", crash_cycle))
     result = run_crash_case(Scheme.PROTEUS, traces, models, plan)

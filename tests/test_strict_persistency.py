@@ -94,10 +94,9 @@ def test_strict_crash_states_can_be_torn():
     """Strict persistency orders persists but provides no atomicity: a
     crash between two stores of one transaction leaves a consistent
     *prefix*, which is still a torn transaction."""
-    from repro.persistence.crash import CrashPoint, Phase, crash_image
-    from repro.persistence.model import build_functional_txs, image_after, images_equal
-    from repro.isa.ops import Op, TxRecord
-    from repro.isa.trace import OpTrace
+    from repro.persistence.crash import images_equal
+    from repro.persistence.image import build_image
+    from tests.crashes import Walk, flattened
 
     trace = OpTrace(thread_id=0)
     trace.initial_image = {0x1000: 1, 0x2000: 2}
@@ -105,15 +104,12 @@ def test_strict_crash_states_can_be_torn():
     tx.body = [Op.write(0x1000, 10), Op.write(0x2000, 20)]
     tx.log_candidates = [(0x1000, 64), (0x2000, 64)]
     trace.append(tx)
-    initial, txs = build_functional_txs(trace, Scheme.PMEM_STRICT)
-    assert txs[0].log_entries == []  # no log
-    # First store durable, second not: prefix state.
-    image = crash_image(
-        initial, txs, Scheme.PMEM_STRICT,
-        CrashPoint(0, Phase.IN_FLIGHT, data_durable=frozenset({0})),
-    )
-    before = image_after(initial, txs, 0)
-    after = image_after(initial, txs, 1)
-    assert not images_equal(image.durable, before)
-    assert not images_equal(image.durable, after)
-    assert image.durable[0x1000] == 10 and image.durable[0x2000] == 2
+    walk = Walk(trace, Scheme.PMEM_STRICT)
+    # First store persisted (store; clwb; sfence), second not issued yet.
+    state = walk.state(3)
+    assert not state.entries  # no log
+    image = flattened(build_image(state, {}, []))
+    before, after = walk.candidates
+    assert not images_equal(image, before)
+    assert not images_equal(image, after)
+    assert image[0x1000] == 10 and image[0x2000] == 2

@@ -1,20 +1,21 @@
 """The fault tracker's software-log slots are the slots codegen writes.
 
-Under software logging the tracker maps every durable software-log line
-back to the log entry it carries.  That map must name the slots the
-lowered stream really stores to: each entry's payload slot sits one
-line below the ``log-hdr`` store that names the entry's line.  Codegen
-copies each candidate line once, so a transaction that lists a
-candidate range twice must not shift any slot.
+Under software logging the tracker reads every durable software-log
+line through the stream model of the thread's lowered stream, so its
+stream must be the one the machine runs: each entry's payload slot sits
+one line below the ``log-hdr`` store that names the entry's line, and
+the slots follow each other from the log base.  Codegen copies each
+candidate line once, so a transaction that lists a candidate range
+twice must not shift any slot.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.codegen import CodeGenerator
+from repro.core.codegen import SW_LOG_BYTES_PER_LINE, CodeGenerator
 from repro.core.schemes import Scheme
-from repro.faults.tracker import ThreadFunctional
+from repro.faults.tracker import ThreadStream
 from repro.isa.instructions import CACHE_LINE
 from repro.isa.ops import TxRecord
 from repro.isa.trace import OpTrace
@@ -47,15 +48,22 @@ def test_tracker_slots_are_the_lowered_log_slots(scheme, workload, repeated):
     )
     if repeated:
         trace = _repeat_first_range(trace)
-    model = ThreadFunctional(trace, scheme)
+    model = ThreadStream(trace, scheme)
     layout = ThreadAddressSpace(trace.thread_id).layout()
     lowered = CodeGenerator(scheme, layout, trace.thread_id).lower_trace(trace)
+    assert model.trace.instructions == lowered.instructions
     headers = [instr for instr in lowered if instr.tag == "log-hdr"]
 
-    slots = [record[0] for records in model.sw_slots for record in records]
-    assert slots == [header.addr - CACHE_LINE for header in headers]
-    # Slot i of a transaction carries its log entry i: the line the
-    # header names is that entry's block.
-    assert [entry.block for tx in model.txs for entry in tx.log_entries] == [
-        header.value for header in headers
+    slots = [header.addr - CACHE_LINE for header in headers]
+    assert slots == [
+        layout.sw_log_base + i * SW_LOG_BYTES_PER_LINE for i in range(len(slots))
     ]
+    # A transaction's slots name distinct lines: each candidate line is
+    # copied once.
+    for first, last in lowered.transactions:
+        named = [
+            instr.value
+            for instr in lowered.instructions[first:last + 1]
+            if instr.tag == "log-hdr"
+        ]
+        assert len(named) == len(set(named))

@@ -6,7 +6,7 @@ thread's initial image (:func:`repro.verify.frontier.materialize`), and
 recovered overlay with each candidate on the overlay's words plus the
 words that candidate changes (:class:`CandidateImages`).  What the
 frontiers of one crash point share is built once per position
-(:class:`~repro.verify.frontier.FrontierView`).  These tests keep two
+(:class:`~repro.persistence.image.StreamView`).  These tests keep two
 references: the whole-image materialization, and the per-frontier path
 the view replaced (a key over every tracked line, an overlay built line
 by line, the software log rebuilt from every log-area line):
@@ -44,8 +44,14 @@ from repro.lint.engine import Analyzer
 from repro.lint.mutate import rebuild
 from repro.lint.profiles import profile_for
 from repro.lint.runner import lower_for_lint
-from repro.persistence.crash import CrashImage, InvariantViolation
-from repro.persistence.model import WORD, LogEntry, images_equal
+from repro.persistence.crash import (
+    WORD,
+    CrashImage,
+    InvariantViolation,
+    LogEntry,
+    images_equal,
+)
+from repro.persistence.image import entry_bounds
 from repro.persistence.recovery import (
     CandidateImages,
     RecoveryError,
@@ -55,7 +61,6 @@ from repro.persistence.stream import LineHistory, StreamState
 from repro.verify.checker import CheckReport, verify_instruction_trace
 from repro.verify.frontier import (
     Frontier,
-    _entry_bounds,
     count_frontiers,
     iter_exhaustive,
     materialize,
@@ -74,7 +79,7 @@ SIZING = dict(threads=1, seed=7, init_ops=7, sim_ops=2)
 
 # -- the per-frontier reference ---------------------------------------------------
 #
-# The path FrontierView replaced: each frontier is keyed by a tuple over
+# The path StreamView replaced: each frontier is keyed by a tuple over
 # every tracked line, and its image is built line by line with the
 # software log rebuilt from every log-area line's chosen version.
 
@@ -91,7 +96,7 @@ def reference_count(state: StreamState) -> int:
     total = 1
     for history in _free_lines(state):
         total *= history.executed - history.floor + 1
-    e_lo, e_hi = _entry_bounds(state)
+    e_lo, e_hi = entry_bounds(state)
     return total * (e_hi - e_lo + 1)
 
 
@@ -105,7 +110,7 @@ def _frontier(state: StreamState, chosen: Dict[int, int], entry_count: int) -> F
 
 
 def _entry_floor(state: StreamState, chosen: Dict[int, int]) -> Optional[int]:
-    e_lo, e_hi = _entry_bounds(state)
+    e_lo, e_hi = entry_bounds(state)
     need = e_lo
     for line, version in chosen.items():
         history = state.lines[line]
@@ -117,7 +122,7 @@ def _entry_floor(state: StreamState, chosen: Dict[int, int]) -> Optional[int]:
 
 def reference_exhaustive(state: StreamState) -> Iterator[Frontier]:
     free = _free_lines(state)
-    _, e_hi = _entry_bounds(state)
+    _, e_hi = entry_bounds(state)
     ranges = [range(h.floor, h.executed + 1) for h in free]
     for combo in product(*ranges):
         chosen = {h.line: v for h, v in zip(free, combo)}
@@ -130,7 +135,7 @@ def reference_exhaustive(state: StreamState) -> Iterator[Frontier]:
 
 def reference_sample(state: StreamState, cap: int, seed: int) -> List[Frontier]:
     free = _free_lines(state)
-    _, e_hi = _entry_bounds(state)
+    _, e_hi = entry_bounds(state)
     out: List[Frontier] = []
     seen = set()
 
