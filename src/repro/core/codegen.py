@@ -218,11 +218,11 @@ class CodeGenerator:
         if op.kind is OpKind.COMPUTE:
             # Dependent chain: serial application logic; each ALU waits
             # on the one before it.  Deps are relative, so every link
-            # after the head is one shared record.
+            # after the head is one shared record, added as one run.
             if op.amount > 0:
                 link = Instruction(Kind.ALU, latency=op.latency, dep=1, txid=txid)
                 out.append(Instruction(Kind.ALU, latency=op.latency, txid=txid))
-                out.extend([link] * (op.amount - 1))
+                out.append_run(link, op.amount - 1)
             return last_load
         if op.kind is OpKind.READ:
             index = len(out)

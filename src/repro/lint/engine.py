@@ -125,13 +125,16 @@ class Analyzer:
         """Walk the stream and return the collected diagnostics.
 
         An ALU carries no persistency obligation and leaves the model
-        unchanged, so the walk steps over it before any call (most of a
-        lowered stream is think-chain ALUs); indices still count every
-        instruction.
+        unchanged, and only ALU records repeat in a run (most of a
+        lowered stream is think-chain links), so the walk visits each
+        run's first position and steps over ALU runs before any call;
+        indices still count every instruction.
         """
         alu = Kind.ALU
         visit = self._visit
-        for index, instr in enumerate(self.trace):
+        instructions = self.trace.instructions
+        for index in self.trace.runs:
+            instr = instructions[index]
             if instr.kind is not alu:
                 visit(index, instr)
         self._finalize()

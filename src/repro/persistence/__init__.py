@@ -23,7 +23,6 @@ Every checker walks this one model:
 
 from repro.persistence.crash import (
     CrashImage,
-    InvariantViolation,
     LogEntry,
     images_equal,
 )
@@ -41,7 +40,6 @@ from repro.persistence.recovery import (
 __all__ = [
     "CandidateImages",
     "CrashImage",
-    "InvariantViolation",
     "LogEntry",
     "RecoveryError",
     "RecoveryVerdict",

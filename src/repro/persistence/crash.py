@@ -56,10 +56,6 @@ class CrashImage:
     base: Dict[int, int] = field(default_factory=dict)
 
 
-class InvariantViolation(ValueError):
-    """A crash state was requested that the hardware can never produce."""
-
-
 def images_equal(a: Dict[int, int], b: Dict[int, int]) -> bool:
     """Memory-image equality with the absent-word-is-zero convention."""
     for word in a.keys() | b.keys():

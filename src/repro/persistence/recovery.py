@@ -17,16 +17,16 @@ Implements the recovery each scheme's log format supports:
 
 Recovery returns the repaired durable image, an overlay over the crash
 image's ``base`` like the image itself; :class:`RecoveryError` is
-raised when the log cannot restore consistency (e.g. a deliberately
-injected invariant violation).
+raised when the log cannot restore consistency (e.g. after a
+deliberately injected durability fault).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.persistence.crash import CrashImage, InvariantViolation
+from repro.persistence.crash import CrashImage
 
 
 class RecoveryError(RuntimeError):
@@ -107,28 +107,22 @@ class CandidateImages:
 Candidates = Union[Sequence[Dict[int, int]], CandidateImages]
 
 
-def check_recovery(
-    image: Union[CrashImage, Callable[[], CrashImage]],
-    candidates: Candidates,
-) -> RecoveryVerdict:
-    """Recover a crash image and verify atomicity, never raising.
+def check_recovery(image: CrashImage, candidates: Candidates) -> RecoveryVerdict:
+    """Recover a crash image and verify atomicity.
 
-    ``image`` may be a ready :class:`CrashImage` or a zero-argument
-    callable building one (image *construction* can itself detect an
-    invariant violation — e.g. data durable before its log — which is a
-    verification failure, not an internal error, so it is folded into
-    the verdict the same way a recovery failure is).  Its ``base`` says
-    what its durable words overlay: nothing for the fault campaign's
-    whole images, the thread's initial image for persist-verify's
-    frontiers.  ``candidates`` are whole images, as a list or as
-    :class:`CandidateImages` over that same ``base``; either way the
-    verdict is the one the flattened images would get.
+    A :class:`RecoveryError` is a verification failure, not an internal
+    error, so it is folded into the verdict; any other exception
+    propagates.  ``image.base`` says what its durable words overlay:
+    nothing for the fault campaign's whole images, the thread's initial
+    image for persist-verify's frontiers.  ``candidates`` are whole
+    images, as a list or as :class:`CandidateImages` over that same
+    ``base``; either way the verdict is the one the flattened images
+    would get.
     """
     try:
-        built = image() if callable(image) else image
-        recovered = recover(built)
-        k = verify_atomicity(recovered, _over(built.base, candidates))
-    except (InvariantViolation, RecoveryError) as err:
+        recovered = recover(image)
+        k = verify_atomicity(recovered, _over(image.base, candidates))
+    except RecoveryError as err:
         return RecoveryVerdict(
             consistent=False, k=-1, error=f"{type(err).__name__}: {err}"
         )

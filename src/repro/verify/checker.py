@@ -268,10 +268,13 @@ def verify_instruction_trace(
 
     check_position(-1)
     # An ALU changes neither the symbolic state nor the crash-state set,
-    # so the walk steps over it before any call (most of a lowered
-    # stream is think-chain ALUs).
+    # and only ALU records repeat in a run (most of a lowered stream is
+    # think-chain links), so the walk visits each run's first position
+    # and steps over ALU runs before any call.
     alu = Kind.ALU
-    for index, instr in enumerate(trace):
+    instructions = trace.instructions
+    for index in trace.runs:
+        instr = instructions[index]
         kind = instr.kind
         if kind is alu:
             continue

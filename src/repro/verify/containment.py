@@ -28,6 +28,7 @@ about durability; fix the model, not the check.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -57,9 +58,13 @@ def replay(
     state = StreamState(
         scheme, ThreadAddressSpace(trace.thread_id).layout(), initial_image
     )
+    # Only ALU records repeat in a run, and an ALU changes nothing, so
+    # the replay visits the first position of each run that starts
+    # before ``retired``.
     alu = Kind.ALU
-    for index in range(retired):
-        instr = trace[index]
+    runs, instructions = trace.runs, trace.instructions
+    for index in runs[:bisect_left(runs, retired)]:
+        instr = instructions[index]
         if instr.kind is not alu:
             state.apply(index, instr)
     return state

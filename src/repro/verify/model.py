@@ -11,6 +11,7 @@ image must equal one of the candidate images
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.codegen import REGION_DATA, ThreadLayout, region_of
@@ -47,13 +48,19 @@ def _span_bounds(trace: InstructionTrace, scheme: Scheme) -> List[Tuple[int, int
     carry txid 0, so a span is the min..max index range of each nonzero
     txid.  Malformed shapes never raise: they are findings for the
     checkers, not parse errors.
+
+    The walk visits each run's first position (see
+    :class:`~repro.isa.trace.InstructionTrace`): a run is one record,
+    so a txid's span ends at the last index of its last run, and a
+    txid that only ALU links carry still forms a span.
     """
     spans: List[Tuple[int, int]] = []
+    runs, instructions = trace.runs, trace.instructions
     if profile_for(scheme).tx_marks:
         alu, tx_begin, tx_end = Kind.ALU, Kind.TX_BEGIN, Kind.TX_END
         begin: Optional[int] = None
-        for index, instr in enumerate(trace):
-            kind = instr.kind
+        for index in runs:
+            kind = instructions[index].kind
             if kind is alu:
                 continue
             if kind is tx_begin:
@@ -67,10 +74,13 @@ def _span_bounds(trace: InstructionTrace, scheme: Scheme) -> List[Tuple[int, int
         return spans
     first: Dict[int, int] = {}
     last: Dict[int, int] = {}
-    for index, instr in enumerate(trace):
-        if instr.txid:
-            first.setdefault(instr.txid, index)
-            last[instr.txid] = index
+    stops = runs[1:]
+    stops.append(len(instructions))
+    for index, stop in zip(runs, stops):
+        txid = instructions[index].txid
+        if txid:
+            first.setdefault(txid, index)
+            last[txid] = stop - 1
     return sorted((first[txid], last[txid]) for txid in first)
 
 
@@ -94,8 +104,12 @@ def derive_candidates(
     image = dict(initial_image or {})
     last_value_of_load: int = 0
     alu, load, store = Kind.ALU, Kind.LOAD, Kind.STORE
+    runs, instructions = trace.runs, trace.instructions
     for begin, end in _span_bounds(trace, scheme):
-        for instr in trace.instructions[begin:end + 1]:
+        # Every span begins at a run's first position; only ALU records
+        # repeat in a run, and the fold skips ALUs.
+        for index in runs[bisect_left(runs, begin):bisect_right(runs, end)]:
+            instr = instructions[index]
             kind = instr.kind
             if kind is alu:
                 continue

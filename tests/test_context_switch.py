@@ -6,6 +6,8 @@ pending LPQ entries out to NVM — conservatively correct because the
 thread may be descheduled indefinitely.
 """
 
+from array import array
+from bisect import bisect_left
 
 from repro.core.schemes import Scheme
 from repro.isa.instructions import Kind, log_save
@@ -13,6 +15,7 @@ from repro.isa.ops import Op, TxRecord
 from repro.isa.trace import OpTrace
 from repro.sim.config import fast_nvm_config
 from repro.sim.simulator import Simulator
+from tests.test_run_walk import check_run_index
 
 
 def tx(txid, addrs):
@@ -42,11 +45,15 @@ def run_with_log_save(trace):
     )
     # Deps are backward distances and no dependence spans a tx-end, so
     # the insertion leaves every later dep valid; the later transaction's
-    # bounds move with it.
+    # bounds and run starts move with it, and the log-save starts a run.
     instr_trace.instructions.insert(end_index + 1, log_save())
     instr_trace.transactions[1:] = [
         (first + 1, last + 1) for first, last in instr_trace.transactions[1:]
     ]
+    runs = instr_trace.runs
+    at = bisect_left(runs, end_index + 1)
+    runs[at:] = array("l", [end_index + 1] + [start + 1 for start in runs[at:]])
+    check_run_index(instr_trace)
     assert [(instr_trace[first].kind, instr_trace[last].kind)
             for first, last in instr_trace.transactions] == [(Kind.TX_BEGIN, Kind.TX_END)] * 2
     result = sim.run()

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.isa.instructions import Kind, alu, load, store
+from repro.isa.instructions import Instruction, Kind, alu, load, store
 from repro.isa.ops import Op, TxRecord
 from repro.isa.trace import InstructionTrace, OpTrace
+from tests.test_run_walk import check_run_index
 
 
 def _tx(txid=1):
@@ -86,6 +87,68 @@ def test_instruction_trace_validate_accepts_dep_to_index_zero():
     trace.append(alu())
     trace.append(load(0x100, dep=2))
     trace.validate()
+
+
+def test_validate_rejects_a_repeated_record_reaching_before_the_start():
+    # Only a run's first position is checked; its dep already reaches
+    # before index 0 there.
+    trace = InstructionTrace()
+    trace.append_run(Instruction(Kind.ALU, dep=1), 3)
+    assert trace.runs.tolist() == [0]
+    with pytest.raises(ValueError, match="instruction 0 has dep=1"):
+        trace.validate()
+
+
+def test_validate_checks_each_run_at_its_first_position():
+    trace = InstructionTrace()
+    trace.append(alu())
+    trace.append_run(Instruction(Kind.ALU, dep=1), 4)
+    trace.append(load(0x100, dep=6))
+    assert trace.runs.tolist() == [0, 1, 5]
+    with pytest.raises(ValueError, match="instruction 5 has dep=6"):
+        trace.validate()
+
+
+def test_append_run_of_zero_copies_appends_nothing():
+    trace = InstructionTrace()
+    trace.append(alu())
+    trace.append_run(Instruction(Kind.ALU, dep=1), 0)
+    assert len(trace) == 1
+    assert trace.runs.tolist() == [0]
+    trace.append_run(Instruction(Kind.ALU, dep=1), 2)
+    trace.append_run(alu(), 0)
+    assert len(trace) == 3
+    assert trace.runs.tolist() == [0, 1]
+    check_run_index(trace)
+
+
+def test_append_run_repeats_only_alu_records():
+    trace = InstructionTrace()
+    with pytest.raises(ValueError):
+        trace.append_run(store(0x140, value=1), 2)
+    with pytest.raises(ValueError):
+        trace.append_run(alu(), -1)
+    trace.append_run(store(0x140, value=1), 1)
+    assert trace.runs.tolist() == [0]
+
+
+def test_every_way_of_building_a_trace_gets_the_appends_index():
+    link = Instruction(Kind.ALU, dep=1)
+    records = [alu(), link, link, load(0x100, dep=1), store(0x140, value=1), link]
+    appended = InstructionTrace()
+    for record in records:
+        appended.append(record)
+    extended = InstructionTrace()
+    extended.extend(records[:2])
+    extended.extend(iter(records[2:]))
+    constructed = InstructionTrace(instructions=list(records))
+    assert appended.runs.tolist() == list(range(len(records)))
+    assert extended.runs == appended.runs
+    assert constructed.runs == appended.runs
+    assert constructed == appended == extended
+    for trace in (appended, extended, constructed):
+        check_run_index(trace)
+        trace.validate()
 
 
 def test_instruction_trace_count_and_indexing():

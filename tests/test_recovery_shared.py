@@ -4,8 +4,7 @@
 ``recover``/``verify_atomicity``/``except`` block so the dynamic
 campaign and the static model checker run the *same* predicate.  These
 tests pin the refactor: the legacy inline logic is reimplemented here
-verbatim (from the pre-refactor harness) and must produce identical
-verdicts — same consistency flag, same candidate index, same error
+from the pre-refactor harness and must produce identical verdicts — same consistency flag, same candidate index, same error
 string to the byte — over crash images from both verification paths.
 The model checker's images are overlays over the initial image; the
 legacy logic judges the whole image of the same frontier.
@@ -16,7 +15,8 @@ import pytest
 from repro.core.schemes import Scheme
 from repro.faults.campaign import run_campaign
 from repro.lint.runner import lower_for_lint
-from repro.persistence.crash import CrashImage, InvariantViolation, LogEntry
+from repro.persistence import recovery
+from repro.persistence.crash import CrashImage, LogEntry
 from repro.persistence.recovery import (
     RecoveryError,
     RecoveryVerdict,
@@ -32,13 +32,14 @@ from tests.test_verify_overlay import full_image
 
 
 def legacy_verdict(image, candidates) -> RecoveryVerdict:
-    """The harness's original inline predicate, reproduced verbatim:
-    build -> recover -> verify_atomicity under one try/except."""
+    """The harness's original inline predicate: recover ->
+    verify_atomicity under one try/except.  (It also took an image
+    builder and folded an invariant-violation exception; no image is
+    built lazily any more, so that form is gone.)"""
     try:
-        built = image() if callable(image) else image
-        recovered = recover(built)
+        recovered = recover(image)
         k = verify_atomicity(recovered, candidates)
-    except (InvariantViolation, RecoveryError) as err:
+    except RecoveryError as err:
         return RecoveryVerdict(
             consistent=False, k=-1, error=f"{type(err).__name__}: {err}"
         )
@@ -109,29 +110,17 @@ def test_error_strings_are_byte_identical():
     assert verdict.error.startswith("RecoveryError: ")
 
 
-def test_builder_exceptions_fold_into_the_verdict():
-    """An image builder that detects an invariant violation mid-build is
-    a verification failure, exactly as the old inline try/except saw it."""
+def test_unrelated_exceptions_still_propagate(monkeypatch):
+    """Only RecoveryError is folded into the verdict; real bugs must not
+    be silently converted into 'inconsistent'."""
 
-    def exploding_builder() -> CrashImage:
-        raise InvariantViolation("data durable before its log entry")
-
-    verdict = check_recovery(exploding_builder, [{}])
-    assert verdict == legacy_verdict(exploding_builder, [{}])
-    assert verdict.error == (
-        "InvariantViolation: data durable before its log entry"
-    )
-
-
-def test_unrelated_exceptions_still_propagate():
-    """Only the two verification exception types are folded; real bugs
-    must not be silently converted into 'inconsistent'."""
-
-    def broken_builder() -> CrashImage:
+    def broken_recover(image):
         raise ZeroDivisionError("a genuine harness bug")
 
+    monkeypatch.setattr(recovery, "recover", broken_recover)
+    image = CrashImage(scheme=Scheme.PMEM, durable={}, log_entries=[])
     with pytest.raises(ZeroDivisionError):
-        check_recovery(broken_builder, [{}])
+        check_recovery(image, [{}])
 
 
 @pytest.mark.parametrize("mode", ("none", "drop-data"))
@@ -149,7 +138,7 @@ def test_campaign_verdicts_unchanged(mode):
             assert case.ks[0] == -1
             assert case.detail.startswith("thread ")
             name = case.detail.split(": ", 2)[1]
-            assert name in ("InvariantViolation", "RecoveryError")
+            assert name == "RecoveryError"
         else:
             assert case.ks[0] >= 0
             assert case.detail == ""

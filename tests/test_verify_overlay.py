@@ -47,7 +47,6 @@ from repro.lint.runner import lower_for_lint
 from repro.persistence.crash import (
     WORD,
     CrashImage,
-    InvariantViolation,
     LogEntry,
     images_equal,
 )
@@ -318,7 +317,7 @@ def whole_image_k(image: CrashImage, candidates: List[Dict[int, int]]) -> int:
     assert image.base is WHOLE and not WHOLE
     try:
         recovered = recovery.recover(image)
-    except (InvariantViolation, RecoveryError):
+    except RecoveryError:
         return -1
     for k, candidate in enumerate(candidates):
         if images_equal(recovered, candidate):
